@@ -827,7 +827,10 @@ Engine::workerProcess(WorkerContext &w)
             decoded.resize(w.accum[u].size());
             rec.pushed_magnitude += transcodeUnit(
                 *w.push_codec, *w.flat, u, w.accum[u], decoded);
-            server_->accumulate(u, decoded);
+            // The codec only emits finite values in range: a rejected
+            // push here is an engine bug, not hostile input.
+            const bool accepted = server_->accumulate(u, decoded);
+            ROG_ASSERT(accepted, "server rejected an engine push");
             server_->noteUpdate(u, static_cast<std::int64_t>(n));
             server_->updateVersion(w.id, u, static_cast<std::int64_t>(n));
             if (cfg_.invariants) {

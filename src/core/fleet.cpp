@@ -8,11 +8,11 @@
  * and the airtime-fair fluid channel; S shard lanes, each a private
  * event queue plus the ServerShard it feeds, absorb the server-side
  * work (gradient accumulation, version updates, MTA reports,
- * deliveries into worker replicas). The coordinator only ever READS
- * shard state after flushShards(), which drains every lane on the
- * thread pool (parallelFor, grain 1) — lanes touch disjoint state
- * (their ServerShard plus the disjoint replica rows their units map
- * to), so any interleaving of lanes yields the same memory image, and
+ * deliveries, i.e. watermark advances). The coordinator only ever
+ * READS shard state after flushShards(), which drains every lane on
+ * the thread pool (parallelFor, grain 1) — lanes touch disjoint state
+ * (their own ServerShard), so any interleaving of lanes yields the
+ * same memory image, and
  * the flush points themselves are a pure function of the event
  * timeline. Hence: bitwise-identical results for every thread count
  * and for both event-queue implementations.
@@ -32,6 +32,7 @@
 #include <cmath>
 #include <cstring>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -41,6 +42,9 @@
 
 #include "common/buffer_pool.hpp"
 #include "common/crc32c.hpp"
+#include "common/logging.hpp"
+#include "core/airtime_channel.hpp"
+#include "core/fixed_point.hpp"
 #include "core/mta.hpp"
 #include "core/server_checkpoint.hpp"
 #include "core/server_shard.hpp"
@@ -121,7 +125,6 @@ template <class Q> class FleetEngine
         for (std::size_t i = 0; i < target_.size(); ++i)
             target_[i] = static_cast<float>(
                 signedUnit(hashMix(cfg.seed, 0x7A, i)));
-        replicas_.assign(cfg.workers * target_.size(), 0.0f);
 
         workers_.resize(cfg.workers);
         const double spread =
@@ -131,6 +134,8 @@ template <class Q> class FleetEngine
                 cfg.mean_bandwidth *
                 (1.0 + spread * signedUnit(hashMix(cfg.seed, 1, w)));
         last_pushed_.assign(cfg.workers, 0);
+        pushed_at_.assign(cfg.iterations + 1, 0);
+        pushed_at_[0] = static_cast<std::uint32_t>(cfg.workers);
     }
 
     FleetResult
@@ -198,15 +203,6 @@ template <class Q> class FleetEngine
         std::uint32_t crc = 0;
     };
 
-    struct Transfer
-    {
-        std::uint32_t worker = 0;
-        bool is_pull = false;
-        std::uint64_t seq = 0; //!< start order (completion tie-break).
-        double remaining = 0.0;
-        double rate = 0.0;
-    };
-
     // ---- deterministic hashes ----
     double
     computeDuration(std::size_t w, std::int64_t n) const
@@ -239,11 +235,21 @@ template <class Q> class FleetEngine
         return (start + i) % cfg_.rows;
     }
 
-    float *
-    replicaRow(std::size_t w, std::size_t row)
+    /**
+     * Worker @p w's replica of @p row into @p out. Replicas start at 0
+     * and every pull delivers all of a worker's pending rows, so a
+     * replica is exactly -lr times everything delivered to it: the
+     * worker's server watermark. Reads shard state (flush first).
+     */
+    void
+    replicaRow(std::size_t w, std::size_t row, float *out) const
     {
-        return replicas_.data() +
-               (w * cfg_.rows + row) * cfg_.row_width;
+        const std::span<const std::uint64_t> delivered =
+            server_->watermark(w, row);
+        const double lr = static_cast<double>(cfg_.learning_rate);
+        for (std::size_t j = 0; j < delivered.size(); ++j)
+            out[j] = static_cast<float>(
+                -lr * fixed::toDouble(delivered[j]));
     }
 
     // ---- event logs ----
@@ -310,23 +316,6 @@ template <class Q> class FleetEngine
     }
 
     // ---- airtime-fair fluid channel ----
-    double
-    shareRate(const Transfer &t) const
-    {
-        return t.rate / static_cast<double>(active_.size());
-    }
-
-    void
-    channelAdvance(double t)
-    {
-        if (!active_.empty()) {
-            const double dt = t - channel_last_;
-            for (Transfer &tr : active_)
-                tr.remaining -= dt * shareRate(tr);
-        }
-        channel_last_ = t;
-    }
-
     /** Cancel the pending completion event (O(1) on the heap core)
      *  and re-arm it for the transfer that finishes next under the
      *  current airtime shares. */
@@ -337,87 +326,57 @@ template <class Q> class FleetEngine
             coord_.cancel(channel_ev_);
             channel_ev_ = {};
         }
-        if (active_.empty())
+        if (channel_.empty())
             return;
-        double best_dt = 0.0;
-        std::uint64_t best_seq = 0;
-        for (const Transfer &tr : active_) {
-            const double rem = tr.remaining > 0.0 ? tr.remaining : 0.0;
-            const double dt = rem / shareRate(tr);
-            if (best_seq == 0 || dt < best_dt ||
-                (dt == best_dt && tr.seq < best_seq)) {
-                best_dt = dt;
-                best_seq = tr.seq;
-            }
-        }
-        const std::uint64_t seq = best_seq;
-        channel_ev_ = coord_.schedule(coord_.now() + best_dt,
-                                      [this, seq] {
-                                          onChannelFire(seq);
-                                      });
+        channel_ev_ = coord_.schedule(channel_.nextFinish(),
+                                      [this] { onChannelFire(); });
     }
 
     void
     channelStart(std::size_t w, bool is_pull, double bytes)
     {
-        channelAdvance(coord_.now());
-        Transfer tr;
-        tr.worker = static_cast<std::uint32_t>(w);
-        tr.is_pull = is_pull;
-        tr.seq = next_transfer_seq_++;
-        tr.remaining = bytes;
-        tr.rate = workers_[w].link_rate;
-        active_.push_back(tr);
+        channel_.start(coord_.now(), bytes, workers_[w].link_rate,
+                       (static_cast<std::uint64_t>(w) << 1) |
+                           (is_pull ? 1u : 0u));
         total_bytes_ += bytes;
         channelReschedule();
     }
 
     void
-    onChannelFire(std::uint64_t seq)
+    onChannelFire()
     {
         channel_ev_ = {};
-        channelAdvance(coord_.now());
-        std::size_t idx = active_.size();
-        for (std::size_t i = 0; i < active_.size(); ++i)
-            if (active_[i].seq == seq) {
-                idx = i;
-                break;
-            }
-        if (idx == active_.size())
-            return; // stale completion; nothing to do.
-        const Transfer done = active_[idx];
-        active_[idx] = active_.back();
-        active_.pop_back();
-        if (done.is_pull)
-            onPullComplete(done.worker);
+        const AirtimeChannel::Done done = channel_.finish(coord_.now());
+        const auto w = static_cast<std::size_t>(done.tag >> 1);
+        if ((done.tag & 1u) != 0)
+            onPullComplete(w);
         else
-            onPushComplete(done.worker);
+            onPushComplete(w);
         channelReschedule();
     }
 
     // ---- worker state machine ----
-    /** RSP gate: every other active worker's last pushed iteration
-     *  must be within the staleness threshold of @p next. Reads only
-     *  coordinator-owned mirrors (last_pushed_, retired), never shard
-     *  state. */
+    /**
+     * RSP gate, O(1): every active worker's last pushed iteration must
+     * be within the staleness threshold of @p next. A worker's own
+     * last push (next - 1) never trips its own gate for threshold >=
+     * 1, so the check reduces to the fleet-wide minimum over active
+     * workers, which pushed_at_ maintains. Reads only coordinator
+     * mirrors, never shard state.
+     */
     bool
-    gatePasses(std::size_t w, std::int64_t next) const
+    gatePasses(std::int64_t next) const
     {
-        const std::int64_t floor =
-            next - static_cast<std::int64_t>(cfg_.staleness_threshold);
-        for (std::size_t o = 0; o < cfg_.workers; ++o) {
-            if (o == w || workers_[o].retired)
-                continue;
-            if (last_pushed_[o] < floor)
-                return false;
-        }
-        return true;
+        return min_pushed_ >=
+               next - static_cast<std::int64_t>(cfg_.staleness_threshold);
     }
 
     void
     beginIteration(std::size_t w)
     {
         FleetWorker &fw = workers_[w];
+        ROG_ASSERT(gatePasses(fw.iter + 1),
+                   "worker began an iteration its RSP gate forbids");
         fw.blocked = false;
         fw.iter += 1;
         const std::int64_t n = fw.iter;
@@ -425,29 +384,42 @@ template <class Q> class FleetEngine
                         [this, w] { onComputeDone(w); });
     }
 
-    /** Re-check every gate-blocked worker (ascending index — the
-     *  deterministic unblock order) after progress or membership
-     *  changed. O(workers), not O(workers^2): for threshold >= 1 a
-     *  worker's own last_pushed never trips its gate (it pushed
-     *  next - 1 >= next - threshold), so gatePasses reduces to one
-     *  fleet-wide minimum over active workers, computed once. */
+    /**
+     * Move worker @p w's last push from @p from to @p to (to < 0:
+     * the worker retired) in the per-iteration counts. When that
+     * empties the fleet-wide minimum's bucket, the minimum moves and
+     * every gate-blocked worker is re-checked — the only time a
+     * blocked worker can pass, since its gate reads nothing else.
+     */
+    void
+    movePushed(std::int64_t from, std::int64_t to)
+    {
+        --pushedAt(from);
+        if (to >= 0)
+            ++pushedAt(to);
+        if (from != min_pushed_ || pushedAt(from) != 0)
+            return;
+        const auto end = static_cast<std::int64_t>(pushed_at_.size());
+        while (min_pushed_ < end && pushedAt(min_pushed_) == 0)
+            ++min_pushed_;
+        if (min_pushed_ == end)
+            min_pushed_ = std::numeric_limits<std::int64_t>::max();
+        unblockScan();
+    }
+
+    std::uint32_t &
+    pushedAt(std::int64_t iter)
+    {
+        return pushed_at_[static_cast<std::size_t>(iter)];
+    }
+
+    /** Begin every gate-blocked worker whose gate now passes, in
+     *  ascending index — the deterministic unblock order. */
     void
     unblockScan()
     {
-        std::int64_t min_pushed = 0;
-        bool first = true;
-        for (std::size_t o = 0; o < cfg_.workers; ++o) {
-            if (workers_[o].retired)
-                continue;
-            if (first || last_pushed_[o] < min_pushed)
-                min_pushed = last_pushed_[o];
-            first = false;
-        }
-        const std::int64_t s =
-            static_cast<std::int64_t>(cfg_.staleness_threshold);
         for (std::size_t w = 0; w < cfg_.workers; ++w)
-            if (workers_[w].blocked &&
-                (first || min_pushed >= workers_[w].iter + 1 - s))
+            if (workers_[w].blocked && gatePasses(workers_[w].iter + 1))
                 beginIteration(w);
     }
 
@@ -467,11 +439,11 @@ template <class Q> class FleetEngine
             BufferPool::global().leaseFloats(push_rows_ * width);
         for (std::size_t i = 0; i < push_rows_; ++i) {
             const std::size_t row = rotationRow(n, i);
-            const float *x = replicaRow(w, row);
             const float *t = target_.data() + row * width;
             float *g = fw.push_buf.data() + i * width;
+            replicaRow(w, row, g);
             for (std::size_t j = 0; j < width; ++j)
-                g[j] = (x[j] - t[j]) + gradientNoise(w, n, row, j);
+                g[j] = (g[j] - t[j]) + gradientNoise(w, n, row, j);
         }
 
         fw.push_start = coord_.now();
@@ -487,6 +459,7 @@ template <class Q> class FleetEngine
         FleetWorker &fw = workers_[w];
         const std::int64_t n = fw.iter;
         logCoord(kTagPushDone, w, n);
+        const std::int64_t before = last_pushed_[w];
         last_pushed_[w] = n;
 
         const double bytes =
@@ -533,7 +506,7 @@ template <class Q> class FleetEngine
             static_cast<std::size_t>(pull_bytes));
         channelStart(w, /*is_pull=*/true, pull_bytes);
 
-        unblockScan();
+        movePushed(before, n);
     }
 
     void
@@ -545,8 +518,9 @@ template <class Q> class FleetEngine
             const std::size_t row = rotationRow(n, i);
             if (server_->shardOf(row) != s)
                 continue;
-            server_->accumulate(
+            const bool accepted = server_->accumulate(
                 row, std::span<const float>(buf + i * width, width));
+            ROG_ASSERT(accepted, "server rejected a fleet push");
             server_->updateVersion(w, row, n);
             server_->noteUpdate(row, n);
             logLane(s, kTagApply, w, n, row);
@@ -575,27 +549,24 @@ template <class Q> class FleetEngine
                     server_->shard(s).retireWorker(w);
                     logLane(s, kTagRetire, w, 0, s);
                 });
-            unblockScan();
+            movePushed(last_pushed_[w], -1);
             return;
         }
-        if (gatePasses(w, n + 1))
+        if (gatePasses(n + 1))
             beginIteration(w);
         else
             fw.blocked = true;
     }
 
+    /** Deliver every pending row to @p w: advancing the watermark is
+     *  the delivery, since the replica is derived from it. */
     void
     deliverPending(std::size_t s, std::size_t w)
     {
-        const std::size_t width = cfg_.row_width;
         for (std::size_t row = 0; row < cfg_.rows; ++row) {
             if (server_->shardOf(row) != s ||
                 !server_->hasPending(w, row))
                 continue;
-            std::span<float> p = server_->pending(w, row);
-            float *x = replicaRow(w, row);
-            for (std::size_t j = 0; j < width; ++j)
-                x[j] -= cfg_.learning_rate * p[j];
             server_->clearPending(w, row);
             logLane(s, kTagDeliver, w, 0, row);
         }
@@ -628,26 +599,35 @@ template <class Q> class FleetEngine
     double
     finalMetric() const
     {
+        const std::size_t width = cfg_.row_width;
+        std::vector<float> x(width);
         double acc = 0.0;
         for (std::size_t w = 0; w < cfg_.workers; ++w)
-            for (std::size_t i = 0; i < target_.size(); ++i) {
-                const double d =
-                    static_cast<double>(
-                        replicas_[w * target_.size() + i]) -
-                    static_cast<double>(target_[i]);
-                acc += d * d;
+            for (std::size_t row = 0; row < cfg_.rows; ++row) {
+                replicaRow(w, row, x.data());
+                const float *t = target_.data() + row * width;
+                for (std::size_t j = 0; j < width; ++j) {
+                    const double d = static_cast<double>(x[j]) -
+                                     static_cast<double>(t[j]);
+                    acc += d * d;
+                }
             }
-        return acc / static_cast<double>(replicas_.size());
+        return acc / static_cast<double>(cfg_.workers * target_.size());
     }
 
     std::uint32_t
     stateDigest() const
     {
         std::uint32_t crc = coord_crc_;
-        crc = crc32c({reinterpret_cast<const std::uint8_t *>(
-                          replicas_.data()),
-                      replicas_.size() * sizeof(float)},
-                     crc);
+        std::vector<float> x(cfg_.row_width);
+        for (std::size_t w = 0; w < cfg_.workers; ++w)
+            for (std::size_t row = 0; row < cfg_.rows; ++row) {
+                replicaRow(w, row, x.data());
+                crc = crc32c({reinterpret_cast<const std::uint8_t *>(
+                                  x.data()),
+                              x.size() * sizeof(float)},
+                             crc);
+            }
         for (const Lane &lane : lanes_) {
             std::uint8_t buf[12];
             std::memcpy(buf, &lane.crc, 4);
@@ -667,18 +647,19 @@ template <class Q> class FleetEngine
     std::size_t pending_ops_ = 0;
 
     std::vector<float> target_;
-    std::vector<float> replicas_;
     std::vector<FleetWorker> workers_;
     std::vector<std::int64_t> last_pushed_;
+    /** Active workers per last-pushed iteration, and the smallest
+     *  such iteration (max() once every worker retired). */
+    std::vector<std::uint32_t> pushed_at_;
+    std::int64_t min_pushed_ = 0;
 
     Q coord_;
     std::uint64_t coord_events_ = 0;
     std::uint32_t coord_crc_ = 0;
 
-    std::vector<Transfer> active_;
+    AirtimeChannel channel_;
     typename Q::id_type channel_ev_{};
-    std::uint64_t next_transfer_seq_ = 1;
-    double channel_last_ = 0.0;
 
     double total_bytes_ = 0.0;
     std::uint64_t iterations_done_ = 0;

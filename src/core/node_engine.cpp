@@ -356,7 +356,21 @@ ServerNode::onPush(const MessageKey &key,
         return;
     }
 
-    state_.accumulate(unit, decoded);
+    // Quarantine a poisoned push (NaN, Inf, or outside the server's
+    // fixed-point range): nothing reaches the outbox or the canonical
+    // model. Its version is still recorded, so the push counts as
+    // received — a retransmission stays a duplicate and the RSP gate
+    // does not wait on a gradient that will never be applied.
+    if (!state_.accumulate(unit, decoded)) {
+        ++rejected_pushes_;
+        versions_.update(w, unit, iter);
+        std::ostringstream os;
+        os << "reject_push w=" << w << " iter=" << iter
+           << " unit=" << unit;
+        logLine(fmt(fabric_.now(), os.str().c_str()));
+        answerReadyPulls();
+        return;
+    }
     state_.noteUpdate(unit, iter);
     versions_.update(w, unit, iter);
 

@@ -164,6 +164,8 @@ class ServerNode
     /** Pushes applied / recorded-duplicate / stale-session counts. */
     std::size_t appliedPushes() const { return applied_pushes_; }
     std::size_t duplicatePushes() const { return duplicate_pushes_; }
+    /** Pushes quarantined for non-finite or out-of-range values. */
+    std::size_t rejectedPushes() const { return rejected_pushes_; }
     std::size_t staleDrops() const { return stale_drops_; }
 
   private:
@@ -222,6 +224,7 @@ class ServerNode
     std::uint32_t ctrl_seq_ = 1; //!< server control-message keys.
     std::size_t applied_pushes_ = 0;
     std::size_t duplicate_pushes_ = 0;
+    std::size_t rejected_pushes_ = 0;
     std::size_t stale_drops_ = 0;
     std::size_t applies_since_ckpt_ = 0;
     bool recovered_ = false;

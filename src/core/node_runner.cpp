@@ -206,6 +206,7 @@ runServerNode(const NodeRunConfig &cfg,
     res.metric = server.evaluateModel();
     res.applied_pushes = server.appliedPushes();
     res.duplicate_pushes = server.duplicatePushes();
+    res.rejected_pushes = server.rejectedPushes();
     res.stale_drops = server.staleDrops();
     res.epoch = server.epoch();
     res.recovered = server.recovered();
@@ -225,6 +226,7 @@ runServerNode(const NodeRunConfig &cfg,
             << "metric " << res.metric << '\n'
             << "applied_pushes " << res.applied_pushes << '\n'
             << "duplicate_pushes " << res.duplicate_pushes << '\n'
+            << "rejected_pushes " << res.rejected_pushes << '\n'
             << "stale_drops " << res.stale_drops << '\n'
             << "min_worker_iteration " << server.minWorkerIteration()
             << '\n'

@@ -88,6 +88,7 @@ struct ServerRunResult
     std::string metric_name;
     std::size_t applied_pushes = 0;
     std::size_t duplicate_pushes = 0;
+    std::size_t rejected_pushes = 0; //!< non-finite / out-of-range.
     std::size_t stale_drops = 0;
     std::uint64_t epoch = 0;  //!< run epoch the server ended with.
     bool recovered = false;   //!< construction restored a checkpoint.

@@ -9,6 +9,7 @@
 
 #include "common/crc32c.hpp"
 #include "common/logging.hpp"
+#include "core/fixed_point.hpp"
 
 namespace rog {
 namespace core {
@@ -16,12 +17,15 @@ namespace core {
 namespace {
 
 constexpr char kMagic[4] = {'R', 'O', 'G', 'S'};
-// v2 appends server-recovery state: run epoch, the session table
-// (resume tokens + watermarks), and the model blob. v1 files predate
-// recoverable socket servers and are rejected rather than guessed at.
-constexpr std::uint32_t kVersion = 2;
+// v2 appended server-recovery state: run epoch, the session table
+// (resume tokens + watermarks), and the model blob. v3 stores each
+// pending gradient as its exact Q32.32 int64 sum instead of a float,
+// so a restore reproduces the fixed-point server bit for bit; a value
+// at or past the server's pending limit (2^30 in real value) is
+// rejected. Older files are rejected rather than guessed at.
+constexpr std::uint32_t kVersion = 3;
 
-// A server checkpoint holds one float per (worker, unit, element):
+// A server checkpoint holds one int64 per (worker, unit, element):
 // anything past this is a corrupted size field, not a real file.
 constexpr std::uint64_t kMaxPayload = 1ull << 30;
 
@@ -70,14 +74,15 @@ class Cursor
     }
 
     void
-    takeFloats(std::vector<float> &dst, std::size_t n)
+    takeI64s(std::vector<std::int64_t> &dst, std::size_t n)
     {
-        if ((size_ - pos_) / sizeof(float) < n)
+        if ((size_ - pos_) / sizeof(std::int64_t) < n)
             ROG_FATAL("server checkpoint: truncated payload");
         dst.resize(n);
         if (n > 0) // empty vector data() may be null.
-            std::memcpy(dst.data(), data_ + pos_, n * sizeof(float));
-        pos_ += n * sizeof(float);
+            std::memcpy(dst.data(), data_ + pos_,
+                        n * sizeof(std::int64_t));
+        pos_ += n * sizeof(std::int64_t);
     }
 
     void
@@ -107,7 +112,7 @@ encodePayload(const ServerCheckpoint &c)
         workers > 0 ? c.versions.versions[0].size() : 0;
     ROG_ASSERT(workers > 0 && units > 0, "empty checkpoint");
     ROG_ASSERT(c.versions.retired.size() == workers &&
-                   c.server.outbox.size() == workers &&
+                   c.server.pending.size() == workers &&
                    c.server.has_pending.size() == workers &&
                    c.server.last_update.size() == units &&
                    c.tracker.rate.size() == workers &&
@@ -128,14 +133,14 @@ encodePayload(const ServerCheckpoint &c)
     out.append(reinterpret_cast<const char *>(c.versions.retired.data()),
                workers);
     for (std::size_t w = 0; w < workers; ++w) {
-        ROG_ASSERT(c.server.outbox[w].size() == units &&
+        ROG_ASSERT(c.server.pending[w].size() == units &&
                        c.server.has_pending[w].size() == units,
-                   "ragged outbox");
+                   "ragged pending table");
         for (std::size_t u = 0; u < units; ++u) {
-            const auto &buf = c.server.outbox[w][u];
+            const auto &buf = c.server.pending[w][u];
             putU32(out, static_cast<std::uint32_t>(buf.size()));
             out.append(reinterpret_cast<const char *>(buf.data()),
-                       buf.size() * sizeof(float));
+                       buf.size() * sizeof(std::int64_t));
         }
         out.append(reinterpret_cast<const char *>(
                        c.server.has_pending[w].data()),
@@ -195,17 +200,34 @@ decodePayload(const std::string &payload)
     c.versions.retired.resize(workers);
     for (auto &r : c.versions.retired)
         r = cur.take<std::uint8_t>();
-    c.server.outbox.resize(workers);
+    c.server.pending.resize(workers);
     c.server.has_pending.resize(workers);
     for (std::uint32_t w = 0; w < workers; ++w) {
-        c.server.outbox[w].resize(units);
+        c.server.pending[w].resize(units);
         for (std::uint32_t u = 0; u < units; ++u) {
             const auto width = cur.take<std::uint32_t>();
-            cur.takeFloats(c.server.outbox[w][u], width);
+            cur.takeI64s(c.server.pending[w][u], width);
+            if (!(fixed::widestPending(c.server.pending[w][u]) <
+                  fixed::kPendingLimit))
+                ROG_FATAL("server checkpoint: worker ", w, " unit ", u,
+                          " pending value out of range");
         }
         c.server.has_pending[w].resize(units);
-        for (auto &p : c.server.has_pending[w])
-            p = cur.take<std::uint8_t>();
+        for (std::uint32_t u = 0; u < units; ++u) {
+            const auto p = cur.take<std::uint8_t>();
+            if (p > 1)
+                ROG_FATAL("server checkpoint: bad pending flag ",
+                          static_cast<unsigned>(p));
+            // A cell with nothing pending holds exact zeros: anything
+            // else is a torn or forged fixed-point section.
+            if (p == 0)
+                for (std::int64_t v : c.server.pending[w][u])
+                    if (v != 0)
+                        ROG_FATAL("server checkpoint: worker ", w,
+                                  " unit ", u,
+                                  " has pending values but no flag");
+            c.server.has_pending[w][u] = p;
+        }
     }
     c.server.last_update.resize(units);
     for (auto &v : c.server.last_update)

@@ -2,10 +2,11 @@
  * @file
  * Crash-consistent parameter-server checkpointing.
  *
- * The server's volatile state — the RSP version matrix, the
- * one-copy-per-worker gradient outbox, and ATP's MTA-time estimates —
- * is periodically serialized as a write-ahead checkpoint ("ROGS"
- * format: magic, version, payload size, CRC32C, payload). Files are
+ * The server's volatile state — the RSP version matrix, every
+ * worker's pending gradients (exact Q32.32 sums since format v3), and
+ * ATP's MTA-time estimates — is periodically serialized as a
+ * write-ahead checkpoint ("ROGS" format: magic, version, payload size,
+ * CRC32C, payload). Files are
  * written to `<path>.tmp` and atomically renamed into place so a
  * crash mid-write can never leave a half-written checkpoint where a
  * good one stood; the CRC trailer catches torn or bit-rotten files at

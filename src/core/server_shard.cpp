@@ -1,51 +1,82 @@
 #include "core/server_shard.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
 #include "common/logging.hpp"
+#include "core/fixed_point.hpp"
 
 namespace rog {
 namespace core {
 
 ServerShard::ServerShard(std::size_t workers,
                          std::vector<std::size_t> unit_widths)
-    : workers_(workers), unit_widths_(std::move(unit_widths)),
-      tracker_(workers)
+    : workers_(workers), scale_(fixed::averagingScale(workers)),
+      limit_bits_(
+          std::bit_cast<std::int32_t>(fixed::inputLimit(workers))),
+      unit_widths_(std::move(unit_widths)), tracker_(workers)
 {
     ROG_ASSERT(workers_ > 0, "shard needs at least one worker");
     ROG_ASSERT(!unit_widths_.empty(), "shard needs at least one unit");
     unit_offsets_.reserve(unit_widths_.size());
+    std::size_t max_width = 0;
     for (std::size_t w : unit_widths_) {
-        unit_offsets_.push_back(floats_per_worker_);
-        floats_per_worker_ += w;
+        unit_offsets_.push_back(elems_);
+        elems_ += w;
+        max_width = std::max(max_width, w);
     }
-    outbox_.assign(workers_ * floats_per_worker_, 0.0f);
-    has_pending_.assign(workers_ * unit_widths_.size(), 0);
+    cum_.assign(elems_, 0);
+    marks_.assign(workers_ * elems_, 0);
+    pend_bound_.assign(unit_widths_.size(), 0);
+    pushes_.assign(unit_widths_.size(), 0);
+    mark_pushes_.assign(workers_ * unit_widths_.size(), 0);
+    push_q_.assign(max_width, 0);
+    scratch_.assign(max_width, 0.0f);
     last_update_.assign(unit_widths_.size(), 0);
     versions_.assign(workers_ * unit_widths_.size(), 0);
     retired_.assign(workers_, 0);
 }
 
-void
+bool
 ServerShard::accumulate(std::size_t unit, std::span<const float> decoded)
 {
     ROG_ASSERT(unit < unit_widths_.size(), "unit out of range");
     ROG_ASSERT(decoded.size() == unit_widths_[unit],
                "decoded width mismatch");
-    // Same float op order as the legacy ServerState::accumulate: one
-    // worker copy at a time, scale*decoded[j] added in ascending j —
-    // bit-identity with the unsharded server depends on this.
-    const auto scale =
-        static_cast<float>(1.0 / static_cast<double>(workers_));
-    const std::size_t off = unit_offsets_[unit];
-    for (std::size_t w = 0; w < workers_; ++w) {
-        float *dst = outbox_.data() + w * floats_per_worker_ + off;
-        for (std::size_t j = 0; j < decoded.size(); ++j)
-            dst[j] += scale * decoded[j];
-        has_pending_[cell(w, unit)] = 1;
+    const std::size_t n = decoded.size();
+    const std::int32_t top = fixed::maxAbsBits(decoded.data(), n);
+    if (!(top < limit_bits_))
+        return false;
+    std::uint64_t *sum = cum_.data() + unit_offsets_[unit];
+    // Rounding is monotone and symmetric, so no converted |value|
+    // exceeds the converted largest |decoded[j]|: the bound grows by
+    // at most that.
+    const auto step = static_cast<std::int64_t>(fixed::toFixed(
+        static_cast<double>(std::bit_cast<float>(top)) * scale_));
+    std::int64_t &bound = pend_bound_[unit];
+    if (bound + step < fixed::kPendingLimit) {
+        bound += step;
+        fixed::addScaled(sum, decoded.data(), n, scale_);
+    } else {
+        // The bound only grows; measure every worker's pending values
+        // exactly before deciding (O(workers * width), reached only
+        // once the bound has drifted near the limit).
+        const std::uint64_t *q = push_q_.data();
+        fixed::convertScaled(push_q_.data(), decoded.data(), n, scale_);
+        std::int64_t widest = 0;
+        for (std::size_t w = 0; w < workers_; ++w)
+            widest = std::max(widest, fixed::widestAfterAdd(
+                                          sum, mark(w, unit), q, n));
+        if (!(widest < fixed::kPendingLimit))
+            return false;
+        bound = widest;
+        for (std::size_t j = 0; j < n; ++j)
+            sum[j] += q[j];
     }
+    ++pushes_[unit];
+    return true;
 }
 
 std::span<float>
@@ -53,9 +84,11 @@ ServerShard::pending(std::size_t worker, std::size_t unit)
 {
     ROG_ASSERT(worker < workers_ && unit < unit_widths_.size(),
                "pending index out of range");
-    return {outbox_.data() + worker * floats_per_worker_ +
-                unit_offsets_[unit],
-            unit_widths_[unit]};
+    const std::size_t width = unit_widths_[unit];
+    fixed::differenceToFloats(cum_.data() + unit_offsets_[unit],
+                              mark(worker, unit), scratch_.data(),
+                              width);
+    return {scratch_.data(), width};
 }
 
 bool
@@ -63,7 +96,7 @@ ServerShard::hasPending(std::size_t worker, std::size_t unit) const
 {
     ROG_ASSERT(worker < workers_ && unit < unit_widths_.size(),
                "pending index out of range");
-    return has_pending_[cell(worker, unit)] != 0;
+    return mark_pushes_[cell(worker, unit)] != pushes_[unit];
 }
 
 void
@@ -71,10 +104,11 @@ ServerShard::clearPending(std::size_t worker, std::size_t unit)
 {
     ROG_ASSERT(worker < workers_ && unit < unit_widths_.size(),
                "pending index out of range");
-    float *dst = outbox_.data() + worker * floats_per_worker_ +
-                 unit_offsets_[unit];
-    std::fill(dst, dst + unit_widths_[unit], 0.0f);
-    has_pending_[cell(worker, unit)] = 0;
+    const std::uint64_t *src = cum_.data() + unit_offsets_[unit];
+    std::copy(src, src + unit_widths_[unit],
+              marks_.begin() + static_cast<std::ptrdiff_t>(
+                                   worker * elems_ + unit_offsets_[unit]));
+    mark_pushes_[cell(worker, unit)] = pushes_[unit];
 }
 
 void
@@ -90,15 +124,17 @@ ServerShard::pendingMeanAbs(std::size_t worker, std::size_t unit) const
 {
     ROG_ASSERT(worker < workers_ && unit < unit_widths_.size(),
                "pending index out of range");
-    const std::size_t width = unit_widths_[unit];
-    if (width == 0)
-        return 0.0;
-    const float *buf = outbox_.data() + worker * floats_per_worker_ +
-                       unit_offsets_[unit];
-    double s = 0.0;
-    for (std::size_t j = 0; j < width; ++j)
-        s += std::fabs(buf[j]);
-    return s / static_cast<double>(width);
+    return fixed::meanAbsDifference(cum_.data() + unit_offsets_[unit],
+                                    mark(worker, unit),
+                                    unit_widths_[unit]);
+}
+
+std::span<const std::uint64_t>
+ServerShard::watermark(std::size_t worker, std::size_t unit) const
+{
+    ROG_ASSERT(worker < workers_ && unit < unit_widths_.size(),
+               "watermark index out of range");
+    return {mark(worker, unit), unit_widths_[unit]};
 }
 
 std::int64_t
@@ -208,20 +244,20 @@ ServerStateSnapshot
 ServerShard::serverSnapshot() const
 {
     ServerStateSnapshot s;
-    s.outbox.resize(workers_);
+    s.pending.resize(workers_);
     s.has_pending.resize(workers_);
     for (std::size_t w = 0; w < workers_; ++w) {
-        s.outbox[w].resize(unit_widths_.size());
-        s.has_pending[w].assign(
-            has_pending_.begin() +
-                static_cast<std::ptrdiff_t>(w * unit_widths_.size()),
-            has_pending_.begin() + static_cast<std::ptrdiff_t>(
-                                       (w + 1) * unit_widths_.size()));
-        const float *block = outbox_.data() + w * floats_per_worker_;
-        for (std::size_t u = 0; u < unit_widths_.size(); ++u)
-            s.outbox[w][u].assign(block + unit_offsets_[u],
-                                  block + unit_offsets_[u] +
-                                      unit_widths_[u]);
+        s.pending[w].resize(unit_widths_.size());
+        s.has_pending[w].resize(unit_widths_.size());
+        for (std::size_t u = 0; u < unit_widths_.size(); ++u) {
+            const std::uint64_t *sum = cum_.data() + unit_offsets_[u];
+            const std::uint64_t *at = mark(w, u);
+            auto &dst = s.pending[w][u];
+            dst.resize(unit_widths_[u]);
+            for (std::size_t j = 0; j < dst.size(); ++j)
+                dst[j] = static_cast<std::int64_t>(sum[j] - at[j]);
+            s.has_pending[w][u] = hasPending(w, u) ? 1 : 0;
+        }
     }
     s.last_update = last_update_;
     return s;
@@ -234,33 +270,45 @@ ServerShard::restore(const VersionSnapshot &versions,
 {
     if (versions.versions.size() != workers_ ||
         versions.retired.size() != workers_ ||
-        server.outbox.size() != workers_ ||
+        server.pending.size() != workers_ ||
         server.has_pending.size() != workers_ ||
         server.last_update.size() != unit_widths_.size())
         ROG_FATAL("shard snapshot shape mismatch");
     for (std::size_t w = 0; w < workers_; ++w) {
         if (versions.versions[w].size() != unit_widths_.size() ||
-            server.outbox[w].size() != unit_widths_.size() ||
+            server.pending[w].size() != unit_widths_.size() ||
             server.has_pending[w].size() != unit_widths_.size())
             ROG_FATAL("shard snapshot unit count mismatch");
-        for (std::size_t u = 0; u < unit_widths_.size(); ++u)
-            if (server.outbox[w][u].size() != unit_widths_[u])
+        for (std::size_t u = 0; u < unit_widths_.size(); ++u) {
+            if (server.pending[w][u].size() != unit_widths_[u])
                 ROG_FATAL("shard snapshot unit width mismatch");
+            if (!(fixed::widestPending(server.pending[w][u]) <
+                  fixed::kPendingLimit))
+                ROG_FATAL("shard snapshot pending value out of range");
+        }
     }
+    // Rebase: every sum restarts at 0 and each watermark sits the
+    // worker's pending value below it, so cum - watermark reproduces
+    // the snapshot exactly. One push per unit is on the books and a
+    // cell with nothing pending has already seen it.
+    std::fill(cum_.begin(), cum_.end(), 0);
+    std::fill(pend_bound_.begin(), pend_bound_.end(), 0);
+    std::fill(pushes_.begin(), pushes_.end(), 1);
     for (std::size_t w = 0; w < workers_; ++w) {
         std::copy(versions.versions[w].begin(),
                   versions.versions[w].end(),
                   versions_.begin() + static_cast<std::ptrdiff_t>(
                                           w * unit_widths_.size()));
-        std::copy(server.has_pending[w].begin(),
-                  server.has_pending[w].end(),
-                  has_pending_.begin() + static_cast<std::ptrdiff_t>(
-                                             w * unit_widths_.size()));
-        float *block = outbox_.data() + w * floats_per_worker_;
-        for (std::size_t u = 0; u < unit_widths_.size(); ++u)
-            std::copy(server.outbox[w][u].begin(),
-                      server.outbox[w][u].end(),
-                      block + unit_offsets_[u]);
+        for (std::size_t u = 0; u < unit_widths_.size(); ++u) {
+            std::uint64_t *at =
+                marks_.data() + w * elems_ + unit_offsets_[u];
+            const auto &p = server.pending[w][u];
+            for (std::size_t j = 0; j < p.size(); ++j)
+                at[j] = 0 - static_cast<std::uint64_t>(p[j]);
+            mark_pushes_[cell(w, u)] = server.has_pending[w][u] ? 0 : 1;
+            pend_bound_[u] =
+                std::max(pend_bound_[u], fixed::widestPending(p));
+        }
         retired_[w] = versions.retired[w];
     }
     last_update_ = server.last_update;
@@ -321,11 +369,12 @@ ShardedServer::init(std::size_t workers,
     ROG_ASSERT(next == units, "shard ranges must cover every unit");
 }
 
-void
+bool
 ShardedServer::accumulate(std::size_t unit,
                           std::span<const float> decoded)
 {
-    shards_[unit_shard_[unit]].accumulate(unit_local_[unit], decoded);
+    return shards_[unit_shard_[unit]].accumulate(unit_local_[unit],
+                                                 decoded);
 }
 
 std::span<float>
@@ -373,6 +422,13 @@ void
 ShardedServer::noteUpdate(std::size_t unit, std::int64_t iter)
 {
     shards_[unit_shard_[unit]].noteUpdate(unit_local_[unit], iter);
+}
+
+std::span<const std::uint64_t>
+ShardedServer::watermark(std::size_t worker, std::size_t unit) const
+{
+    return shards_[unit_shard_[unit]].watermark(worker,
+                                                unit_local_[unit]);
 }
 
 std::int64_t

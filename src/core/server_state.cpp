@@ -4,57 +4,77 @@
 #include <cmath>
 
 #include "common/logging.hpp"
+#include "core/fixed_point.hpp"
 
 namespace rog {
 namespace core {
 
 ServerState::ServerState(std::size_t workers,
                          const RowPartition &partition)
-    : inv_workers_(1.0 / static_cast<double>(workers))
+    : scale_(fixed::averagingScale(workers)),
+      limit_(fixed::inputLimit(workers))
 {
     ROG_ASSERT(workers > 0, "server needs at least one worker");
     unit_widths_.reserve(partition.unitCount());
-    for (const Unit &u : partition.units())
+    std::size_t max_width = 0;
+    for (const Unit &u : partition.units()) {
         unit_widths_.push_back(u.width);
+        max_width = std::max(max_width, u.width);
+    }
     last_update_.assign(partition.unitCount(), 0);
+    push_q_.assign(max_width, 0);
+    zeros_.assign(max_width, 0);
+    scratch_.assign(max_width, 0.0f);
 
-    outbox_.resize(workers);
+    copies_.resize(workers);
     has_pending_.resize(workers);
     for (std::size_t w = 0; w < workers; ++w) {
-        outbox_[w].resize(partition.unitCount());
+        copies_[w].resize(partition.unitCount());
         has_pending_[w].assign(partition.unitCount(), false);
         for (std::size_t u = 0; u < partition.unitCount(); ++u)
-            outbox_[w][u].assign(unit_widths_[u], 0.0f);
+            copies_[w][u].assign(unit_widths_[u], 0);
     }
 }
 
-void
+bool
 ServerState::accumulate(std::size_t unit, std::span<const float> decoded)
 {
     ROG_ASSERT(unit < unit_widths_.size(), "unit out of range");
     ROG_ASSERT(decoded.size() == unit_widths_[unit],
                "decoded width mismatch");
-    const auto scale = static_cast<float>(inv_workers_);
-    for (std::size_t w = 0; w < outbox_.size(); ++w) {
-        auto &dst = outbox_[w][unit];
-        for (std::size_t j = 0; j < decoded.size(); ++j)
-            dst[j] += scale * decoded[j];
+    const std::size_t n = decoded.size();
+    if (!fixed::representable(decoded.data(), n, limit_))
+        return false;
+    fixed::convertScaled(push_q_.data(), decoded.data(), n, scale_);
+    for (const auto &copy : copies_)
+        if (!(fixed::widestAfterAdd(copy[unit].data(), zeros_.data(),
+                                    push_q_.data(),
+                                    n) < fixed::kPendingLimit))
+            return false;
+    for (std::size_t w = 0; w < copies_.size(); ++w) {
+        std::uint64_t *dst = copies_[w][unit].data();
+        for (std::size_t j = 0; j < n; ++j)
+            dst[j] += push_q_[j];
         has_pending_[w][unit] = true;
     }
+    return true;
 }
 
 std::span<float>
 ServerState::pending(std::size_t worker, std::size_t unit)
 {
-    ROG_ASSERT(worker < outbox_.size() && unit < unit_widths_.size(),
+    ROG_ASSERT(worker < copies_.size() && unit < unit_widths_.size(),
                "pending index out of range");
-    return outbox_[worker][unit];
+    const auto &copy = copies_[worker][unit];
+    fixed::differenceToFloats(copy.data(), zeros_.data(),
+                              scratch_.data(), copy.size());
+    return {scratch_.data(), copy.size()};
 }
 
 bool
 ServerState::hasPending(std::size_t worker, std::size_t unit) const
 {
-    ROG_ASSERT(worker < outbox_.size() && unit < unit_widths_.size(),
+    ROG_ASSERT(worker < copies_.size() && unit < unit_widths_.size(),
                "pending index out of range");
     return has_pending_[worker][unit];
 }
@@ -62,17 +82,17 @@ ServerState::hasPending(std::size_t worker, std::size_t unit) const
 void
 ServerState::clearPending(std::size_t worker, std::size_t unit)
 {
-    ROG_ASSERT(worker < outbox_.size() && unit < unit_widths_.size(),
+    ROG_ASSERT(worker < copies_.size() && unit < unit_widths_.size(),
                "pending index out of range");
-    auto &buf = outbox_[worker][unit];
-    std::fill(buf.begin(), buf.end(), 0.0f);
+    auto &copy = copies_[worker][unit];
+    std::fill(copy.begin(), copy.end(), 0);
     has_pending_[worker][unit] = false;
 }
 
 void
 ServerState::clearWorker(std::size_t worker)
 {
-    ROG_ASSERT(worker < outbox_.size(), "worker out of range");
+    ROG_ASSERT(worker < copies_.size(), "worker out of range");
     for (std::size_t u = 0; u < unit_widths_.size(); ++u)
         clearPending(worker, u);
 }
@@ -80,15 +100,11 @@ ServerState::clearWorker(std::size_t worker)
 double
 ServerState::pendingMeanAbs(std::size_t worker, std::size_t unit) const
 {
-    ROG_ASSERT(worker < outbox_.size() && unit < unit_widths_.size(),
+    ROG_ASSERT(worker < copies_.size() && unit < unit_widths_.size(),
                "pending index out of range");
-    const auto &buf = outbox_[worker][unit];
-    if (buf.empty())
-        return 0.0;
-    double s = 0.0;
-    for (float v : buf)
-        s += std::fabs(v);
-    return s / static_cast<double>(buf.size());
+    const auto &copy = copies_[worker][unit];
+    return fixed::meanAbsDifference(copy.data(), zeros_.data(),
+                                    copy.size());
 }
 
 std::int64_t
@@ -109,9 +125,13 @@ ServerStateSnapshot
 ServerState::snapshot() const
 {
     ServerStateSnapshot s;
-    s.outbox = outbox_;
+    s.pending.resize(copies_.size());
     s.has_pending.resize(has_pending_.size());
-    for (std::size_t w = 0; w < has_pending_.size(); ++w) {
+    for (std::size_t w = 0; w < copies_.size(); ++w) {
+        s.pending[w].resize(unit_widths_.size());
+        for (std::size_t u = 0; u < unit_widths_.size(); ++u)
+            s.pending[w][u].assign(copies_[w][u].begin(),
+                                   copies_[w][u].end());
         s.has_pending[w].reserve(has_pending_[w].size());
         for (bool p : has_pending_[w])
             s.has_pending[w].push_back(p ? 1 : 0);
@@ -123,22 +143,28 @@ ServerState::snapshot() const
 void
 ServerState::restore(const ServerStateSnapshot &s)
 {
-    if (s.outbox.size() != outbox_.size() ||
+    if (s.pending.size() != copies_.size() ||
         s.has_pending.size() != has_pending_.size() ||
         s.last_update.size() != last_update_.size())
         ROG_FATAL("server snapshot shape mismatch");
-    for (std::size_t w = 0; w < outbox_.size(); ++w) {
-        if (s.outbox[w].size() != unit_widths_.size() ||
+    for (std::size_t w = 0; w < copies_.size(); ++w) {
+        if (s.pending[w].size() != unit_widths_.size() ||
             s.has_pending[w].size() != unit_widths_.size())
             ROG_FATAL("server snapshot unit count mismatch");
-        for (std::size_t u = 0; u < unit_widths_.size(); ++u)
-            if (s.outbox[w][u].size() != unit_widths_[u])
+        for (std::size_t u = 0; u < unit_widths_.size(); ++u) {
+            if (s.pending[w][u].size() != unit_widths_[u])
                 ROG_FATAL("server snapshot unit width mismatch");
+            if (!(fixed::widestPending(s.pending[w][u]) <
+                  fixed::kPendingLimit))
+                ROG_FATAL("server snapshot pending value out of range");
+        }
     }
-    outbox_ = s.outbox;
-    for (std::size_t w = 0; w < has_pending_.size(); ++w)
-        for (std::size_t u = 0; u < has_pending_[w].size(); ++u)
+    for (std::size_t w = 0; w < copies_.size(); ++w)
+        for (std::size_t u = 0; u < unit_widths_.size(); ++u) {
+            copies_[w][u].assign(s.pending[w][u].begin(),
+                                 s.pending[w][u].end());
             has_pending_[w][u] = s.has_pending[w][u] != 0;
+        }
     last_update_ = s.last_update;
 }
 

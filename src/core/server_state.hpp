@@ -9,6 +9,24 @@
  * only s's copy of row i is zeroed. Together with worker-side
  * accumulation this guarantees every computed gradient is eventually
  * applied to every replica exactly once (gradient conservation).
+ *
+ * ServerState implements that literally — O(workers * width) per push
+ * — and is the exact oracle for ServerShard's O(width) cumulative-sum
+ * layout. Numerical contract (shared with ServerShard through
+ * core/fixed_point.hpp):
+ *  - Each copy is a Q32.32 integer sum: a push adds
+ *    round(decoded[j] * 2^32 / workers) to every copy. Integer sums
+ *    are exact and order-independent, so the per-copy and the
+ *    cumulative layouts agree bit for bit.
+ *  - pending() returns the nearest float of each copy;
+ *    pendingMeanAbs() sums |copy| in the integer domain.
+ *  - Range: a push is accepted only if every |decoded[j] / workers| <
+ *    2^19 and adding it keeps every copy below 2^30 in magnitude. A
+ *    non-finite or out-of-range value, or a push that would take any
+ *    copy to the limit, rejects the whole push (accumulate returns
+ *    false) and leaves every copy untouched. Every copy is therefore
+ *    exact. restore() rejects a snapshot holding a value at or past
+ *    the limit.
  */
 #ifndef ROG_CORE_SERVER_STATE_HPP
 #define ROG_CORE_SERVER_STATE_HPP
@@ -25,10 +43,14 @@
 namespace rog {
 namespace core {
 
-/** Plain-data copy of a ServerState's volatile fields (checkpointing). */
+/**
+ * Plain-data copy of a ServerState's volatile fields (checkpointing).
+ * pending[w][u][j] is worker w's exact Q32.32 pending value; a cell
+ * whose has_pending flag is 0 holds only zeros.
+ */
 struct ServerStateSnapshot
 {
-    std::vector<std::vector<std::vector<float>>> outbox;
+    std::vector<std::vector<std::vector<std::int64_t>>> pending;
     std::vector<std::vector<std::uint8_t>> has_pending;
     std::vector<std::int64_t> last_update;
 };
@@ -47,19 +69,25 @@ class ServerState
   public:
     ServerState(std::size_t workers, const RowPartition &partition);
 
-    std::size_t workers() const { return outbox_.size(); }
+    std::size_t workers() const { return copies_.size(); }
     std::size_t units() const { return unit_widths_.size(); }
 
     /**
      * Accumulate a pushed (already decoded) gradient of @p unit from
      * one worker into *every* worker's copy, scaled by 1/num_workers.
+     * Returns false, touching nothing, if any value is non-finite or
+     * outside the fixed-point range (see the file comment).
      */
-    void accumulate(std::size_t unit, std::span<const float> decoded);
+    bool accumulate(std::size_t unit, std::span<const float> decoded);
 
-    /** Pending averaged gradient of @p unit for @p worker (mutable). */
+    /**
+     * Pending averaged gradient of @p unit for @p worker, as floats in
+     * a scratch buffer that the next pending() call overwrites.
+     */
     std::span<float> pending(std::size_t worker, std::size_t unit);
 
-    /** True if @p worker has a nonzero pending gradient for @p unit. */
+    /** True if a push of @p unit reached @p worker's copy since the
+     *  copy was last cleared (even one that summed to zero). */
     bool hasPending(std::size_t worker, std::size_t unit) const;
 
     /** Zero @p worker's copy of @p unit after it was sent. */
@@ -81,7 +109,7 @@ class ServerState
     /** Record that @p unit was updated at iteration @p iter. */
     void noteUpdate(std::size_t unit, std::int64_t iter);
 
-    /** Copy out outbox + pending flags + update stamps. */
+    /** Copy out the exact pending sums + flags + update stamps. */
     ServerStateSnapshot snapshot() const;
 
     /**
@@ -91,11 +119,16 @@ class ServerState
     void restore(const ServerStateSnapshot &s);
 
   private:
-    std::vector<std::vector<std::vector<float>>> outbox_;
+    /** Per worker, per unit: the Q32.32 sum pending for that copy. */
+    std::vector<std::vector<std::vector<std::uint64_t>>> copies_;
     std::vector<std::vector<bool>> has_pending_;
     std::vector<std::size_t> unit_widths_;
     std::vector<std::int64_t> last_update_;
-    double inv_workers_;
+    double scale_; //!< Q32.32 factor including 1/workers.
+    float limit_;  //!< exclusive bound on |decoded|.
+    std::vector<std::uint64_t> push_q_; //!< one push, converted once.
+    std::vector<std::uint64_t> zeros_;  //!< subtrahend for copies.
+    std::vector<float> scratch_;        //!< pending() output.
 };
 
 /**

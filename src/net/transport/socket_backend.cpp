@@ -573,9 +573,14 @@ UdpReceiverEndpoint::UdpReceiverEndpoint(PollLoop &loop,
         fail("udp socket");
         return;
     }
-    int one = 1;
-    ::setsockopt(fd_.get(), SOL_SOCKET, SO_REUSEADDR, &one,
-                 sizeof(one));
+    // SO_REUSEADDR only for an explicit port, where it lets a restarted
+    // server rebind at once. On an ephemeral bind it would let the
+    // kernel hand two live receivers the same port.
+    if (port != 0) {
+        int one = 1;
+        ::setsockopt(fd_.get(), SOL_SOCKET, SO_REUSEADDR, &one,
+                     sizeof(one));
+    }
     sockaddr_in addr{};
     resolveAddr("127.0.0.1", port, addr);
     if (!bindWithRetry(fd_.get(), addr, bind_retry_window_s)) {

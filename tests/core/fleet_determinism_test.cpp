@@ -67,6 +67,23 @@ TEST(FleetDeterminismTest, BitwiseIdenticalAcrossThreadCounts)
     }
 }
 
+TEST(FleetDeterminismTest, WorkCountsMatchPerCopyFluidReference)
+{
+    // Recorded from the implementation the fleet had before its O(W)
+    // paths were removed: float per-copy outbox, O(n) fluid channel
+    // scan, O(W) gate scan. Events and wire bytes are deterministic
+    // work counts and must not move; the clock and the metric may
+    // differ only by rounding (virtual-airtime clock, Q32.32 sums).
+    parallel::ThreadPool pool(2);
+    const FleetResult r = runFleetSimulation(fleetConfig64(), pool);
+    EXPECT_EQ(r.events_processed, 82921u);
+    EXPECT_EQ(r.total_bytes, 7100672.0);
+    EXPECT_NEAR(r.sim_seconds, 3.9365555437587898,
+                1e-9 * 3.9365555437587898);
+    EXPECT_NEAR(r.final_metric, 0.24421812200844906,
+                1e-6 * 0.24421812200844906);
+}
+
 TEST(FleetDeterminismTest, HeapAndMapQueuesProduceIdenticalRuns)
 {
     FleetConfig cfg = fleetConfig64();

@@ -11,8 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -35,7 +37,7 @@ sampleCheckpoint()
                                std::vector<std::int64_t>(kUnits, 0));
     c.versions.retired.assign(kWorkers, 0);
     c.versions.retired[2] = 1;
-    c.server.outbox.resize(kWorkers);
+    c.server.pending.resize(kWorkers);
     c.server.has_pending.assign(
         kWorkers, std::vector<std::uint8_t>(kUnits, 0));
     c.server.last_update.assign(kUnits, 0);
@@ -43,15 +45,17 @@ sampleCheckpoint()
     c.tracker.seeded.assign(kWorkers, 0);
     c.tracker.mta_bytes.assign(kWorkers, 0.0);
     for (std::size_t w = 0; w < kWorkers; ++w) {
-        c.server.outbox[w].resize(kUnits);
+        c.server.pending[w].resize(kUnits);
         for (std::size_t u = 0; u < kUnits; ++u) {
             c.versions.versions[w][u] =
                 static_cast<std::int64_t>(w * 10 + u);
             if ((w + u) % 2 == 0) {
                 c.server.has_pending[w][u] = 1;
                 // Ragged widths on purpose: unit payloads differ.
-                c.server.outbox[w][u].assign(
-                    3 + u, 0.25f * static_cast<float>(w + u));
+                // Q32.32 values: +-0.25 * (w + u), signs alternating.
+                c.server.pending[w][u].assign(
+                    3 + u, static_cast<std::int64_t>(w + u) << 30);
+                c.server.pending[w][u][1] = -c.server.pending[w][u][1];
             }
         }
         c.tracker.rate[w] = 1e3 * static_cast<double>(w + 1);
@@ -101,7 +105,7 @@ expectEqual(const ServerCheckpoint &a, const ServerCheckpoint &b)
     EXPECT_EQ(a.msg_seq, b.msg_seq);
     EXPECT_EQ(a.versions.versions, b.versions.versions);
     EXPECT_EQ(a.versions.retired, b.versions.retired);
-    EXPECT_EQ(a.server.outbox, b.server.outbox);
+    EXPECT_EQ(a.server.pending, b.server.pending);
     EXPECT_EQ(a.server.has_pending, b.server.has_pending);
     EXPECT_EQ(a.server.last_update, b.server.last_update);
     EXPECT_EQ(a.tracker.rate, b.tracker.rate);
@@ -333,6 +337,123 @@ TEST(ServerCheckpointDeathTest, WriterRejectsRaggedSessionTable)
     std::ostringstream os(std::ios::binary);
     EXPECT_DEATH(writeServerCheckpoint(os, c),
                  "session snapshot fleet-size mismatch");
+}
+
+/** Payload offset and length of the v3 fixed-point pending section
+ *  (per worker: per unit a u32 width plus int64 values, then one flag
+ *  byte per unit). */
+std::pair<std::size_t, std::size_t>
+pendingSection(const ServerCheckpoint &c)
+{
+    const std::size_t workers = c.versions.versions.size();
+    const std::size_t units = c.versions.versions[0].size();
+    const std::size_t begin = 8 + 8 + 4 + 4 + workers * units * 8 + workers;
+    std::size_t len = 0;
+    for (const auto &row : c.server.pending) {
+        for (const auto &cell : row)
+            len += 4 + cell.size() * sizeof(std::int64_t);
+        len += units;
+    }
+    return {begin, len};
+}
+
+TEST(ServerCheckpoint, RejectsBadPendingFlag)
+{
+    const auto c = sampleCheckpoint();
+    const std::string bytes = encode(c);
+    const auto [begin, len] = pendingSection(c);
+    // Worker 0's flags are the section's last bytes before worker 1.
+    std::size_t off = begin;
+    for (const auto &cell : c.server.pending[0])
+        off += 4 + cell.size() * sizeof(std::int64_t);
+    const std::uint8_t bad = 2;
+    EXPECT_THROW(decode(patchPayload(bytes, off, &bad, 1)),
+                 std::runtime_error);
+}
+
+TEST(ServerCheckpoint, RejectsPendingValuesWithoutFlag)
+{
+    // Nothing pending means the fixed-point sums are exactly zero: a
+    // nonzero value under a clear flag is a forged or torn section.
+    auto c = sampleCheckpoint();
+    ASSERT_EQ(c.server.has_pending[0][1], 0);
+    c.server.pending[0][1].assign(2, 0);
+    c.server.pending[0][1][1] = 1; // 2^-32: the smallest nonzero.
+    EXPECT_THROW(decode(encode(c)), std::runtime_error);
+    c.server.pending[0][1][1] = 0;
+    expectEqual(c, decode(encode(c)));
+}
+
+TEST(ServerCheckpoint, ResealedCorruptionOfPendingSectionNeverMisparses)
+{
+    // Flip every byte of the fixed-point section with the CRC re-sealed
+    // so each mutation reaches the structural parser. A decode may
+    // only succeed if it reproduces the patched bytes exactly and
+    // keeps the flag/zero invariant; width corruption must throw.
+    const auto c = sampleCheckpoint();
+    const std::string bytes = encode(c);
+    const auto [begin, len] = pendingSection(c);
+    std::size_t rejected = 0;
+    for (std::size_t i = 0; i < len; ++i) {
+        const char flipped = static_cast<char>(
+            bytes[kHeaderSize + begin + i] ^ 0x5A);
+        const std::string bad =
+            patchPayload(bytes, begin + i, &flipped, 1);
+        try {
+            const ServerCheckpoint got = decode(bad);
+            ASSERT_EQ(encode(got), bad) << "byte " << i;
+            for (std::size_t w = 0; w < got.server.pending.size(); ++w) {
+                for (std::size_t u = 0; u < got.server.pending[w].size();
+                     ++u) {
+                    if (got.server.has_pending[w][u] != 0)
+                        continue;
+                    for (std::int64_t v : got.server.pending[w][u])
+                        ASSERT_EQ(v, 0) << "byte " << i;
+                }
+            }
+        } catch (const std::runtime_error &) {
+            ++rejected;
+        }
+    }
+    // Every width, flag and clear-cell byte is load-bearing. In a
+    // flagged cell only the low seven bytes of a value are free: the
+    // sample values are small, so flipping the top byte lands at or
+    // past the 2^62 pending limit.
+    std::size_t free_bytes = 0;
+    for (std::size_t w = 0; w < c.server.pending.size(); ++w)
+        for (std::size_t u = 0; u < c.server.pending[w].size(); ++u)
+            if (c.server.has_pending[w][u] != 0)
+                free_bytes += c.server.pending[w][u].size() *
+                              (sizeof(std::int64_t) - 1);
+    EXPECT_EQ(rejected, len - free_bytes);
+}
+
+TEST(ServerCheckpoint, RejectsPendingValueAtTheLimit)
+{
+    // The server never lets a pending value reach 2^30 in real value
+    // (2^62 in Q32.32); a file holding one is forged or torn.
+    auto c = sampleCheckpoint();
+    ASSERT_EQ(c.server.has_pending[0][0], 1);
+    constexpr std::int64_t kLimit = std::int64_t{1} << 62;
+    for (const std::int64_t bad :
+         {kLimit, -kLimit, std::numeric_limits<std::int64_t>::min()}) {
+        c.server.pending[0][0][2] = bad;
+        EXPECT_THROW(decode(encode(c)), std::runtime_error) << bad;
+    }
+    for (const std::int64_t ok : {kLimit - 1, -kLimit + 1}) {
+        c.server.pending[0][0][2] = ok;
+        expectEqual(c, decode(encode(c)));
+    }
+}
+
+TEST(ServerCheckpoint, RejectsPreFixedPointVersion)
+{
+    // v2 stored float outboxes; v3 readers must not reinterpret them.
+    std::string bytes = encode(sampleCheckpoint());
+    const std::uint32_t v2 = 2;
+    bytes.replace(4, sizeof(v2), reinterpret_cast<const char *>(&v2),
+                  sizeof(v2));
+    EXPECT_THROW(decode(bytes), std::runtime_error);
 }
 
 TEST(ServerCheckpoint, RejectsWrongMagicAndVersion)

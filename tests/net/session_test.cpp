@@ -481,6 +481,88 @@ TEST(SessionDes, WorkerAdoptsBumpedEpochAndIgnoresDeadWelcome)
     ASSERT_GE(server.hellos.size(), 3u); // reject, stale, genuine.
 }
 
+/** True when every canonical-model parameter is finite. */
+bool
+modelFinite(nn::Model &model)
+{
+    for (nn::Parameter *p : model.parameters())
+        for (std::size_t i = 0; i < p->value.size(); ++i)
+            if (!std::isfinite(p->value.data()[i]))
+                return false;
+    return true;
+}
+
+TEST(SessionDes, NanPushIsRejectedAndModelStaysFinite)
+{
+    // A worker with a live session sends a push whose frames are
+    // CRC-valid but whose gradient carries a NaN: the server must
+    // quarantine it (counted, logged, nothing applied), keep the
+    // canonical model finite, and go on applying good pushes.
+    sim::Simulation sim;
+    DesFabricNet net(sim, 4.0e6, transport::TransportConfig{});
+
+    core::NodeRunConfig cfg = core::chaosRunDefaults();
+    cfg.workers = 1;
+    core::NodeTrainConfig train = cfg.train;
+    train.worker_state_dir.clear();
+    train.checkpoint_path.clear();
+    std::unique_ptr<core::Workload> workload =
+        core::makeNodeWorkload(cfg);
+    std::string slog;
+    core::ServerNode server(
+        net.node(kServerNode), *workload, train,
+        [&slog](const std::string &s) { slog += s + "\n"; });
+    server.start();
+
+    DesFabric &fab = net.node(workerNode(0));
+    std::uint32_t session = 0;
+    fab.connectPeer(kServerNode, "", 0);
+    fab.setMessageHandler(
+        [&session](const MessageKey &key, std::vector<std::uint8_t> &&b) {
+            Welcome wm;
+            if (key.row == kRowWelcome && parse(b, wm))
+                session = wm.session;
+        });
+    Hello h;
+    h.worker = 0;
+    h.epoch = train.epoch;
+    h.nonce = 42;
+    h.rx_port = fab.listenPort();
+    fab.sendTo(kServerNode, MessageKey{0, packVersion(0, 1), kRowHello, false},
+               encode(h), fab.now() + 3.0, {});
+    for (double t = 0.1; t < 10.0 && session == 0; t += 0.1)
+        sim.runUntil(t);
+    ASSERT_NE(session, 0u) << slog;
+
+    const std::size_t width =
+        core::RowPartition(core::FlatModel(server.model()),
+                           train.granularity)
+            .unit(0)
+            .width;
+    std::vector<float> grad(width, 0.25f);
+    grad[width / 2] = std::numeric_limits<float>::quiet_NaN();
+    const auto push = [&](std::int64_t iter) {
+        fab.sendTo(kServerNode,
+                   MessageKey{0, packVersion(session, iter), 0, false},
+                   encodeFloats(grad), transport::kNoDeadline, {});
+        sim.runUntil(sim.now() + 2.0);
+    };
+    push(1);
+    EXPECT_EQ(server.rejectedPushes(), 1u);
+    EXPECT_EQ(server.appliedPushes(), 0u);
+    EXPECT_TRUE(modelFinite(server.model()));
+    EXPECT_NE(slog.find("reject_push w=0 iter=1 unit=0"),
+              std::string::npos)
+        << slog;
+
+    grad[width / 2] = 0.5f;
+    push(2);
+    EXPECT_EQ(server.rejectedPushes(), 1u);
+    EXPECT_EQ(server.appliedPushes(), 1u);
+    EXPECT_TRUE(modelFinite(server.model()));
+    fab.setMessageHandler({});
+}
+
 TEST(SessionDes, ServerCrashTwinRecoversAndFinishes)
 {
     core::NodeRunConfig cfg = core::chaosRunDefaults();

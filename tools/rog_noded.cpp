@@ -61,10 +61,11 @@ runServer(const core::NodeRunConfig &cfg)
             std::printf("port %u\n", static_cast<unsigned>(port));
             std::fflush(stdout);
         });
-    std::printf("done %d metric %.4f applied %zu dup %zu stale %zu "
-                "epoch %llu recovered %d\n",
+    std::printf("done %d metric %.4f applied %zu dup %zu rejected %zu "
+                "stale %zu epoch %llu recovered %d\n",
                 res.done ? 1 : 0, res.metric, res.applied_pushes,
-                res.duplicate_pushes, res.stale_drops,
+                res.duplicate_pushes, res.rejected_pushes,
+                res.stale_drops,
                 static_cast<unsigned long long>(res.epoch),
                 res.recovered ? 1 : 0);
     return res.done ? 0 : 1;
