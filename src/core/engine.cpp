@@ -17,8 +17,6 @@
 #include "core/mta.hpp"
 #include "core/server_checkpoint.hpp"
 #include "core/server_shard.hpp"
-#include "core/server_state.hpp"
-#include "core/version_storage.hpp"
 #include "data/dataset.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"

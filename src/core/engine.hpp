@@ -10,7 +10,7 @@
  * pass the RSP staleness gate, pull averaged gradients, and apply
  * them. The server's per-worker handler of Algo 2 runs inline in the
  * worker's process — the simulation shares one address space, so the
- * server is its state (ServerState + VersionStorage), not a thread.
+ * server is its state (a ShardedServer), not a thread.
  */
 #ifndef ROG_CORE_ENGINE_HPP
 #define ROG_CORE_ENGINE_HPP

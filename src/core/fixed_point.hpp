@@ -1,8 +1,8 @@
 /**
  * @file
  * Q32.32 fixed-point helpers for the parameter server's gradient
- * sums (ServerState and ServerShard share them, so both produce the
- * same bits for the same pushes).
+ * sums (ServerShard and its test oracle ServerState share them, so
+ * both produce the same bits for the same pushes).
  *
  * A value x is stored as the 64-bit integer round(x * 2^32). Sums of
  * stored values are integer sums: exact, associative, and independent

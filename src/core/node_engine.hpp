@@ -8,7 +8,7 @@
  *
  * ServerNode: parameter-server half. Admits workers through a
  * SessionTable (epoch + resume-token gated handshake), accumulates
- * decoded gradient pushes into the one-copy-per-worker outbox
+ * decoded gradient pushes into a one-shard ShardedServer's outbox
  * (gradient conservation), gates pulls on the RSP staleness bound,
  * applies every contribution to a canonical model replica (the resync
  * source for rejoining workers), drives the phi-accrual
@@ -42,8 +42,7 @@
 #include "core/failure_detector.hpp"
 #include "core/flat_model.hpp"
 #include "core/row_partition.hpp"
-#include "core/server_state.hpp"
-#include "core/version_storage.hpp"
+#include "core/server_shard.hpp"
 #include "core/workload.hpp"
 #include "net/session/fabric.hpp"
 #include "net/session/session.hpp"
@@ -139,9 +138,10 @@ class ServerNode
     /** Write the crash-consistent server checkpoint now. */
     void checkpointNow();
 
+    /** RSP floor (ShardedServer::minWorkerIteration). */
     std::int64_t minWorkerIteration() const
     {
-        return versions_.minWorkerIteration();
+        return server_.minWorkerIteration();
     }
 
     const MembershipTracker &membership() const { return tracker_; }
@@ -213,9 +213,7 @@ class ServerNode
     std::unique_ptr<nn::SgdMomentum> opt_;
 
     net::session::SessionTable table_;
-    VersionStorage versions_;
-    ServerState state_;
-    MtaTimeTracker mta_;
+    ShardedServer server_; //!< one shard: outbox + version matrix.
     MembershipTracker tracker_;
 
     std::vector<WorkerPeer> peers_;

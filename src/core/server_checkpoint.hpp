@@ -24,8 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "core/server_state.hpp"
-#include "core/version_storage.hpp"
+#include "core/server_shard.hpp"
 #include "net/session/session.hpp"
 
 namespace rog {

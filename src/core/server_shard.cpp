@@ -206,16 +206,6 @@ ServerShard::maxVersionOfWorker(std::size_t worker) const
     return m;
 }
 
-std::int64_t
-ServerShard::minVersionOfWorker(std::size_t worker) const
-{
-    ROG_ASSERT(worker < workers_, "worker out of range");
-    std::int64_t m = std::numeric_limits<std::int64_t>::max();
-    for (std::size_t u = 0; u < unit_widths_.size(); ++u)
-        m = std::min(m, versions_[cell(worker, u)]);
-    return m;
-}
-
 void
 ServerShard::report(std::size_t worker, double bytes_transmitted,
                     double elapsed_seconds, double mta_bytes)
@@ -287,6 +277,9 @@ ServerShard::restore(const VersionSnapshot &versions,
                 ROG_FATAL("shard snapshot pending value out of range");
         }
     }
+    // The tracker checks its own shape before it changes anything;
+    // nothing below can fail.
+    tracker_.restore(tracker);
     // Rebase: every sum restarts at 0 and each watermark sits the
     // worker's pending value below it, so cum - watermark reproduces
     // the snapshot exactly. One push per unit is on the books and a
@@ -309,10 +302,9 @@ ServerShard::restore(const VersionSnapshot &versions,
             pend_bound_[u] =
                 std::max(pend_bound_[u], fixed::widestPending(p));
         }
-        retired_[w] = versions.retired[w];
+        retired_[w] = versions.retired[w] != 0 ? 1 : 0;
     }
     last_update_ = server.last_update;
-    tracker_.restore(tracker);
 }
 
 ShardedServer::ShardedServer(std::size_t workers,
@@ -467,6 +459,20 @@ ShardedServer::maxVersionOfWorker(std::size_t worker) const
     for (const auto &s : shards_)
         m = std::max(m, s.maxVersionOfWorker(worker));
     return m;
+}
+
+std::int64_t
+ShardedServer::minWorkerIteration() const
+{
+    std::int64_t live = std::numeric_limits<std::int64_t>::max();
+    std::int64_t all = std::numeric_limits<std::int64_t>::max();
+    for (std::size_t w = 0; w < workers(); ++w) {
+        const std::int64_t it = maxVersionOfWorker(w);
+        all = std::min(all, it);
+        if (!retired(w))
+            live = std::min(live, it);
+    }
+    return live != std::numeric_limits<std::int64_t>::max() ? live : all;
 }
 
 void

@@ -1,16 +1,11 @@
 /**
  * @file
- * Sharded parameter server: the fleet-scale layout of the server-side
- * state (ROADMAP item 1).
- *
- * The original server trio — VersionStorage, ServerState,
- * MtaTimeTracker — keeps one nested heap allocation per (worker, unit)
- * cell: `vector<vector<vector<float>>>` outboxes and
- * `vector<vector<int64>>` version matrices. At 1024 workers that is
- * hundreds of thousands of small allocations with no locality between
- * the cells one request touches. This file replaces the trio on the
- * engine's hot path with N `ServerShard`s behind a `ShardedServer`
- * facade:
+ * The parameter server's state (Fig. 5, right side): the gradient
+ * outbox of Sec. III-B, the RSP version matrix of Algo 2 and ATP's
+ * MTA-time tracker, split into N `ServerShard`s behind a
+ * `ShardedServer` facade. It is the one server every engine runs: the
+ * coroutine engine, the parallel fleet DES and the message-driven
+ * ServerNode (node_engine.hpp, one shard).
  *
  *  - Model rows (synchronization units) are partitioned across shards
  *    in contiguous ranges; `unit -> (shard, local unit)` is two O(1)
@@ -18,8 +13,8 @@
  *  - Each shard keeps ONE cumulative sum per unit element instead of
  *    one outbox copy per worker (see "Gradient outbox" below), plus
  *    flat per-(worker, unit) watermarks, push-count marks and version
- *    cells, and owns its own MtaTimeTracker bookkeeping, membership
- *    (retired) view, and ROGS checkpoint payload.
+ *    cells, and owns its own MtaTimeTracker, membership (retired)
+ *    view, and ROGS checkpoint payload.
  *  - MTA throughput reports are replicated into every shard's tracker:
  *    the EWMA streams are identical, so every shard derives the same
  *    tMTA a single global tracker would — while remaining
@@ -41,15 +36,16 @@
  * width) for the watermarks: exact per-worker pending needs a full
  * watermark per element, not one counter per row.
  *
- * Numerical contract (core/fixed_point.hpp, shared with ServerState):
- * a push adds round(decoded[j] * 2^32 / workers) per element. Integer
- * sums are exact and associative, so pending values are bit-identical
- * to ServerState's per-copy arithmetic, for every shard count and any
+ * Numerical contract (core/fixed_point.hpp): a push adds
+ * round(decoded[j] * 2^32 / workers) per element. Integer sums are
+ * exact and associative, so pending values are bit-identical to the
+ * paper's literal one-copy-per-worker arithmetic (the test-only
+ * ServerState oracle in tests/oracles), for every shard count and any
  * arrival order; sharding does not change a single bit. A push is
  * rejected whole (accumulate returns false, no state changes) if any
  * value is non-finite, any |decoded[j] / workers| >= 2^19, or it would
  * take any worker's pending value to 2^30 or more in magnitude — the
- * same rule ServerState applies per copy. The last check is O(width):
+ * same rule the oracle applies per copy. The last check is O(width):
  * per unit the shard keeps an upper bound on every worker's |pending|,
  * grown by each push's largest converted |value| and never lowered by
  * a pull; only when a push would cross the limit against this bound
@@ -67,12 +63,33 @@
 #include <span>
 #include <vector>
 
+#include "core/mta.hpp"
 #include "core/row_partition.hpp"
-#include "core/server_state.hpp"
-#include "core/version_storage.hpp"
 
 namespace rog {
 namespace core {
+
+/**
+ * Plain-data copy of the version matrix (ROGS checkpoints):
+ * versions[w][u] is the latest iteration worker w pushed unit u at.
+ */
+struct VersionSnapshot
+{
+    std::vector<std::vector<std::int64_t>> versions;
+    std::vector<std::uint8_t> retired;
+};
+
+/**
+ * Plain-data copy of the gradient outbox (ROGS checkpoints).
+ * pending[w][u][j] is worker w's exact Q32.32 pending value; a cell
+ * whose has_pending flag is 0 holds only zeros.
+ */
+struct ServerStateSnapshot
+{
+    std::vector<std::vector<std::vector<std::int64_t>>> pending;
+    std::vector<std::vector<std::uint8_t>> has_pending;
+    std::vector<std::int64_t> last_update;
+};
 
 /**
  * One shard: contiguous-arena server state for a contiguous range of
@@ -93,7 +110,7 @@ class ServerShard
     std::size_t workers() const { return workers_; }
     std::size_t units() const { return unit_widths_.size(); }
 
-    // ---- gradient outbox (ServerState semantics) ----
+    // ---- gradient outbox ----
     /** False (and no state change) for a rejected push. */
     bool accumulate(std::size_t unit, std::span<const float> decoded);
     /** Floats in per-shard scratch, valid until the next pending(). */
@@ -112,7 +129,7 @@ class ServerShard
     std::span<const std::uint64_t> watermark(std::size_t worker,
                                              std::size_t unit) const;
 
-    // ---- version matrix (VersionStorage semantics) ----
+    // ---- version matrix ----
     std::int64_t version(std::size_t worker, std::size_t unit) const;
     void updateVersion(std::size_t worker, std::size_t unit,
                        std::int64_t iter);
@@ -120,7 +137,6 @@ class ServerShard
     void retireWorker(std::size_t worker);
     void rejoinWorker(std::size_t worker, std::int64_t iter);
     std::int64_t maxVersionOfWorker(std::size_t worker) const;
-    std::int64_t minVersionOfWorker(std::size_t worker) const;
 
     // ---- MTA bookkeeping (replicated tracker) ----
     void report(std::size_t worker, double bytes_transmitted,
@@ -138,6 +154,11 @@ class ServerShard
     {
         return tracker_.snapshot();
     }
+    /**
+     * Overwrite every field from same-shape snapshots. Checks every
+     * shape and range first and throws before changing anything, so
+     * a rejected checkpoint leaves the shard as it was.
+     */
     void restore(const VersionSnapshot &versions,
                  const ServerStateSnapshot &server,
                  const MtaTrackerSnapshot &tracker);
@@ -231,6 +252,13 @@ class ShardedServer
     void rejoinWorker(std::size_t worker, std::int64_t iter);
     /** Max over every shard's units — the worker's last pushed iter. */
     std::int64_t maxVersionOfWorker(std::size_t worker) const;
+    /**
+     * RSP floor: min over live workers of their last pushed
+     * iteration, the reference of Algo 2's gate. Once every worker
+     * has retired, the min over all workers instead, so a finished
+     * run reports the iteration its slowest worker reached.
+     */
+    std::int64_t minWorkerIteration() const;
 
     // ---- MTA ----
     /** Replicated into every shard's tracker (identical EWMAs). */

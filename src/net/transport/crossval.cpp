@@ -7,8 +7,8 @@
 #include <sstream>
 #include <vector>
 
+#include "common/crc32c.hpp"
 #include "common/logging.hpp"
-#include "net/transport/crc32c.hpp"
 #include "net/transport/des_backend.hpp"
 #include "net/transport/payload.hpp"
 #include "net/transport/receiver.hpp"

@@ -36,9 +36,9 @@
 #include <string>
 #include <vector>
 
+#include "common/buffer_pool.hpp"
 #include "net/channel.hpp"
 #include "net/transport/backend.hpp"
-#include "net/transport/buffer_pool.hpp"
 #include "net/transport/event_log.hpp"
 #include "net/transport/frame.hpp"
 #include "net/transport/observer.hpp"

@@ -79,34 +79,6 @@ const char *matmulActiveTier();
  *  "neon", "portable") for logs and bench metadata. */
 const char *matmulIsa();
 
-/**
- * Scalar reference kernels: the seed library's original triple-loop
- * implementations (ops_ref.cpp, built with default flags). Baseline
- * for the kernel-equivalence tests and the micro benchmarks; never
- * used on the hot path.
- */
-namespace ref {
-
-void matmul(const Tensor &a, const Tensor &b, Tensor &out);
-void matmulTransA(const Tensor &a, const Tensor &b, Tensor &out);
-void matmulTransB(const Tensor &a, const Tensor &b, Tensor &out);
-
-} // namespace ref
-
-/**
- * PR-2 blocked/register-tiled autovectorized GEMMs (ops_blocked.cpp,
- * built with -march=native like the old hot path). Baseline the micro
- * benchmarks measure the packed-panel microkernels against; never used
- * on the hot path.
- */
-namespace blocked {
-
-void matmul(const Tensor &a, const Tensor &b, Tensor &out);
-void matmulTransA(const Tensor &a, const Tensor &b, Tensor &out);
-void matmulTransB(const Tensor &a, const Tensor &b, Tensor &out);
-
-} // namespace blocked
-
 } // namespace tensor
 } // namespace rog
 

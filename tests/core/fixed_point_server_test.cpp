@@ -26,8 +26,8 @@
 #include "core/fixed_point.hpp"
 #include "core/row_partition.hpp"
 #include "core/server_shard.hpp"
-#include "core/server_state.hpp"
 #include "nn/model.hpp"
+#include "oracles/server_state.hpp"
 
 namespace rog {
 namespace core {

@@ -1,14 +1,12 @@
 /**
  * @file
- * Unit tests for the parameter-server state and MTA time tracker.
+ * Unit tests for the ServerState oracle (the per-copy outbox).
  */
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "common/rng.hpp"
-#include "core/server_state.hpp"
 #include "nn/model.hpp"
+#include "oracles/server_state.hpp"
 
 namespace rog {
 namespace core {
@@ -103,50 +101,6 @@ TEST(ServerStateTest, WidthMismatchDies)
     ServerState server(2, f.partition);
     std::vector<float> bad(f.partition.unit(0).width + 1, 1.0f);
     EXPECT_DEATH(server.accumulate(0, bad), "width");
-}
-
-TEST(MtaTimeTrackerTest, UnseededIsInfinite)
-{
-    MtaTimeTracker tracker(3);
-    EXPECT_TRUE(std::isinf(tracker.mtaTime()));
-}
-
-TEST(MtaTimeTrackerTest, RemainsInfiniteUntilAllReport)
-{
-    MtaTimeTracker tracker(2);
-    tracker.report(0, 1000.0, 1.0, 500.0);
-    EXPECT_TRUE(std::isinf(tracker.mtaTime()));
-    tracker.report(1, 1000.0, 1.0, 500.0);
-    EXPECT_FALSE(std::isinf(tracker.mtaTime()));
-}
-
-TEST(MtaTimeTrackerTest, TakesMaxOverWorkers)
-{
-    MtaTimeTracker tracker(2);
-    // Worker 0: 1000 B/s, MTA 500 B -> 0.5 s.
-    tracker.report(0, 1000.0, 1.0, 500.0);
-    // Worker 1: 100 B/s, MTA 500 B -> 5 s (the straggler).
-    tracker.report(1, 100.0, 1.0, 500.0);
-    EXPECT_NEAR(tracker.mtaTime(), 5.0, 1e-9);
-    EXPECT_NEAR(tracker.estimateFor(0), 0.5, 1e-9);
-}
-
-TEST(MtaTimeTrackerTest, ClampsToBounds)
-{
-    MtaTimeTracker tracker(1, 0.35, 0.05, 30.0);
-    tracker.report(0, 1.0, 1.0, 1e9); // absurdly slow.
-    EXPECT_DOUBLE_EQ(tracker.mtaTime(), 30.0);
-    MtaTimeTracker fast(1, 0.35, 0.05, 30.0);
-    fast.report(0, 1e9, 1.0, 1.0); // absurdly fast.
-    EXPECT_DOUBLE_EQ(fast.mtaTime(), 0.05);
-}
-
-TEST(MtaTimeTrackerTest, EwmaSmoothsRate)
-{
-    MtaTimeTracker tracker(1, 0.5, 1e-6, 1e6);
-    tracker.report(0, 100.0, 1.0, 100.0); // 100 B/s -> 1 s.
-    tracker.report(0, 300.0, 1.0, 100.0); // rate ewma = 200 -> 0.5 s.
-    EXPECT_NEAR(tracker.estimateFor(0), 0.5, 1e-9);
 }
 
 } // namespace

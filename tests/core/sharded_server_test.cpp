@@ -15,10 +15,10 @@
 #include "core/engine.hpp"
 #include "core/row_partition.hpp"
 #include "core/server_shard.hpp"
-#include "core/server_state.hpp"
-#include "core/version_storage.hpp"
 #include "core/workloads.hpp"
 #include "net/trace_generator.hpp"
+#include "oracles/server_state.hpp"
+#include "oracles/version_storage.hpp"
 
 namespace rog {
 namespace core {
@@ -205,6 +205,49 @@ TEST(ShardedServerTest, ShardRangesAreContiguousAndCoverEveryUnit)
         last = sh;
     }
     EXPECT_EQ(last, s.shardCount() - 1);
+}
+
+/**
+ * The RSP floor: min over live workers of their last pushed
+ * iteration, for every shard count. While a worker lives it matches
+ * the VersionStorage oracle. Once all have retired the oracle falls
+ * back to a min(V) cache its old user never filled (it reads 0), so
+ * that case is checked against its own definition instead: the
+ * slowest worker's last iteration.
+ */
+TEST(ShardedServerTest, MinWorkerIterationIsTheRspFloor)
+{
+    CrudaWorkload workload(tinyCruda(3));
+    auto model = workload.buildReplica();
+    FlatModel flat(*model);
+    RowPartition partition(flat, Granularity::Row);
+    const std::size_t units = partition.unitCount();
+    for (std::size_t shards : {1u, 2u, 4u}) {
+        VersionStorage oracle(3, units);
+        ShardedServer s(3, partition, shards);
+        EXPECT_EQ(s.minWorkerIteration(), 0);
+        // Worker w pushes unit (w * 7) % units at iteration 4 + 3w.
+        for (std::size_t w = 0; w < 3; ++w) {
+            const std::size_t u = (w * 7) % units;
+            const auto iter = static_cast<std::int64_t>(4 + 3 * w);
+            oracle.update(w, u, iter);
+            s.updateVersion(w, u, iter);
+        }
+        EXPECT_EQ(s.minWorkerIteration(), oracle.minWorkerIteration());
+        EXPECT_EQ(s.minWorkerIteration(), 4);
+        oracle.retireWorker(0);
+        s.retireWorker(0);
+        EXPECT_EQ(s.minWorkerIteration(), oracle.minWorkerIteration());
+        EXPECT_EQ(s.minWorkerIteration(), 7);
+        oracle.retireWorker(2);
+        s.retireWorker(2);
+        EXPECT_EQ(s.minWorkerIteration(), oracle.minWorkerIteration());
+        EXPECT_EQ(s.minWorkerIteration(), 7);
+        s.retireWorker(1);
+        EXPECT_EQ(s.minWorkerIteration(), 4) << "shards=" << shards;
+        s.rejoinWorker(0, 9);
+        EXPECT_EQ(s.minWorkerIteration(), 9) << "shards=" << shards;
+    }
 }
 
 /**

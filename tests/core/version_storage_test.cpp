@@ -4,7 +4,7 @@
  */
 #include <gtest/gtest.h>
 
-#include "core/version_storage.hpp"
+#include "oracles/version_storage.hpp"
 
 namespace rog {
 namespace core {

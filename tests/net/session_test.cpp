@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <iterator>
 
@@ -16,6 +17,7 @@
 
 #include "core/node_engine.hpp"
 #include "core/node_runner.hpp"
+#include "core/server_checkpoint.hpp"
 #include "net/session/des_fabric.hpp"
 #include "net/session/session.hpp"
 #include "net/session/wire.hpp"
@@ -589,6 +591,82 @@ TEST(SessionDes, ServerCrashTwinRecoversAndFinishes)
     EXPECT_NE(text.find("server_start epoch=2 recovered=1"),
               std::string::npos);
     EXPECT_NE(text.find("epoch=2"), std::string::npos);
+}
+
+TEST(SessionDes, FinalCheckpointReportsLastIteration)
+{
+    // After every worker said Bye, the RSP floor is the slowest
+    // worker's last iteration, not 0, and so is the final checkpoint.
+    sim::Simulation sim;
+    DesFabricNet net(sim, 4.0e6, transport::TransportConfig{});
+
+    core::NodeRunConfig cfg = core::chaosRunDefaults();
+    cfg.workers = 2;
+    core::NodeTrainConfig train = cfg.train;
+    train.max_iters = 5;
+    train.worker_state_dir.clear();
+    train.checkpoint_path = testing::TempDir() + "rog_final_ckpt.rogs";
+    std::remove(train.checkpoint_path.c_str());
+    std::unique_ptr<core::Workload> workload =
+        core::makeNodeWorkload(cfg);
+
+    core::ServerNode server(net.node(kServerNode), *workload, train);
+    server.start();
+    std::vector<std::unique_ptr<core::WorkerNode>> workers;
+    for (std::size_t w = 0; w < cfg.workers; ++w) {
+        workers.push_back(std::make_unique<core::WorkerNode>(
+            net.node(workerNode(w)), *workload, train, w,
+            core::WorkerResumeState{}));
+        workers.back()->start("des", 0);
+    }
+    sim.runUntil(300.0);
+    ASSERT_TRUE(server.done());
+
+    EXPECT_EQ(server.minWorkerIteration(), train.max_iters);
+    EXPECT_EQ(core::readServerCheckpointFile(train.checkpoint_path)
+                  .iteration,
+              train.max_iters);
+    std::remove(train.checkpoint_path.c_str());
+}
+
+TEST(SessionDes, RejectedCheckpointLeavesServerFresh)
+{
+    // A CRC-valid ROGS file whose version matrix is fine but whose
+    // outbox has one unit of the wrong width must be rejected whole:
+    // the server starts fresh, with no version restored from it.
+    sim::Simulation sim;
+    DesFabricNet net(sim, 4.0e6, transport::TransportConfig{});
+
+    core::NodeRunConfig cfg = core::chaosRunDefaults();
+    cfg.workers = 2;
+    core::NodeTrainConfig train = cfg.train;
+    train.worker_state_dir.clear();
+    train.checkpoint_path = testing::TempDir() + "rog_torn_ckpt.rogs";
+    std::remove(train.checkpoint_path.c_str());
+    std::unique_ptr<core::Workload> workload =
+        core::makeNodeWorkload(cfg);
+
+    {
+        core::ServerNode seed(net.node(kServerNode), *workload, train);
+        seed.checkpointNow();
+    }
+    core::ServerCheckpoint ckpt =
+        core::readServerCheckpointFile(train.checkpoint_path);
+    for (auto &row : ckpt.versions.versions)
+        for (std::int64_t &v : row)
+            v = 5;
+    ckpt.iteration = 5;
+    ckpt.server.pending[1][0].push_back(0);
+    core::writeServerCheckpointFile(train.checkpoint_path, ckpt);
+
+    std::string slog;
+    core::ServerNode server(
+        net.node(kServerNode), *workload, train,
+        [&slog](const std::string &s) { slog += s + "\n"; });
+    EXPECT_FALSE(server.recovered());
+    EXPECT_NE(slog.find("recover_failed"), std::string::npos) << slog;
+    EXPECT_EQ(server.minWorkerIteration(), 0);
+    std::remove(train.checkpoint_path.c_str());
 }
 
 } // namespace

@@ -1,6 +1,6 @@
 /**
  * @file
- * The PR-2 blocked/register-tiled GEMM kernels, preserved under
+ * The earlier blocked/register-tiled GEMM kernels, preserved under
  * tensor::blocked as a measured baseline — exactly as ops_ref.cpp
  * preserves the seed's scalar loops. The hot path now runs the
  * packed-panel microkernels (gemm.cpp); BENCH_micro.json reports the
@@ -13,7 +13,7 @@
  * the autovectorizer — the "compiler luck" tier the explicit
  * microkernels replace.
  */
-#include "tensor/ops.hpp"
+#include "oracles/ops_oracles.hpp"
 
 #include <cstring>
 

@@ -1,7 +1,6 @@
-#include "core/server_state.hpp"
+#include "oracles/server_state.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/logging.hpp"
 #include "core/fixed_point.hpp"
@@ -166,75 +165,6 @@ ServerState::restore(const ServerStateSnapshot &s)
             has_pending_[w][u] = s.has_pending[w][u] != 0;
         }
     last_update_ = s.last_update;
-}
-
-MtaTimeTracker::MtaTimeTracker(std::size_t workers, double alpha,
-                               double floor_seconds, double ceil_seconds)
-    : rate_(workers, Ewma(alpha)), mta_bytes_(workers, 0.0),
-      floor_seconds_(floor_seconds), ceil_seconds_(ceil_seconds)
-{
-    ROG_ASSERT(workers > 0, "tracker needs at least one worker");
-    ROG_ASSERT(floor_seconds > 0.0 && ceil_seconds > floor_seconds,
-               "bad tMTA clamp");
-}
-
-double
-MtaTimeTracker::estimateFor(std::size_t worker) const
-{
-    ROG_ASSERT(worker < rate_.size(), "worker out of range");
-    if (!rate_[worker].seeded() || mta_bytes_[worker] <= 0.0)
-        return std::numeric_limits<double>::infinity();
-    const double rate = std::max(rate_[worker].value(), 1e-9);
-    return mta_bytes_[worker] / rate;
-}
-
-double
-MtaTimeTracker::mtaTime() const
-{
-    double worst = 0.0;
-    for (std::size_t w = 0; w < rate_.size(); ++w) {
-        const double est = estimateFor(w);
-        if (std::isinf(est))
-            return std::numeric_limits<double>::infinity();
-        worst = std::max(worst, est);
-    }
-    return clamp(worst, floor_seconds_, ceil_seconds_);
-}
-
-void
-MtaTimeTracker::report(std::size_t worker, double bytes_transmitted,
-                       double elapsed_seconds, double mta_bytes)
-{
-    ROG_ASSERT(worker < rate_.size(), "worker out of range");
-    ROG_ASSERT(elapsed_seconds > 0.0, "elapsed must be positive");
-    rate_[worker].observe(bytes_transmitted / elapsed_seconds);
-    mta_bytes_[worker] = mta_bytes;
-}
-
-MtaTrackerSnapshot
-MtaTimeTracker::snapshot() const
-{
-    MtaTrackerSnapshot s;
-    s.rate.reserve(rate_.size());
-    s.seeded.reserve(rate_.size());
-    for (const Ewma &e : rate_) {
-        s.rate.push_back(e.value());
-        s.seeded.push_back(e.seeded() ? 1 : 0);
-    }
-    s.mta_bytes = mta_bytes_;
-    return s;
-}
-
-void
-MtaTimeTracker::restore(const MtaTrackerSnapshot &s)
-{
-    if (s.rate.size() != rate_.size() ||
-        s.seeded.size() != rate_.size() ||
-        s.mta_bytes.size() != mta_bytes_.size())
-        ROG_FATAL("tracker snapshot shape mismatch");
-    for (std::size_t w = 0; w < rate_.size(); ++w)
-        rate_[w].restore(s.rate[w], s.seeded[w] != 0);
-    mta_bytes_ = s.mta_bytes;
 }
 
 } // namespace core

@@ -1,7 +1,7 @@
 /**
  * @file
- * Parameter-server state (Fig. 5, right side) and the shared MTA-time
- * tracker of ATP.
+ * Test oracle: the paper's literal parameter-server outbox (Fig. 5,
+ * right side).
  *
  * The server keeps *one gradient copy per worker* (Sec. III-B): when
  * worker r pushes row i at iteration n, g'_i / num is accumulated into
@@ -11,9 +11,10 @@
  * applied to every replica exactly once (gradient conservation).
  *
  * ServerState implements that literally — O(workers * width) per push
- * — and is the exact oracle for ServerShard's O(width) cumulative-sum
- * layout. Numerical contract (shared with ServerShard through
- * core/fixed_point.hpp):
+ * — and is the exact oracle the tests hold ServerShard's O(width)
+ * cumulative-sum layout (core/server_shard.hpp) against. It is not
+ * part of any production library. Numerical contract (shared with
+ * ServerShard through core/fixed_point.hpp):
  *  - Each copy is a Q32.32 integer sum: a push adds
  *    round(decoded[j] * 2^32 / workers) to every copy. Integer sums
  *    are exact and order-independent, so the per-copy and the
@@ -28,40 +29,18 @@
  *    exact. restore() rejects a snapshot holding a value at or past
  *    the limit.
  */
-#ifndef ROG_CORE_SERVER_STATE_HPP
-#define ROG_CORE_SERVER_STATE_HPP
+#ifndef ROG_ORACLES_SERVER_STATE_HPP
+#define ROG_ORACLES_SERVER_STATE_HPP
 
 #include <cstdint>
-#include <limits>
 #include <span>
 #include <vector>
 
-#include "common/math_util.hpp"
 #include "core/row_partition.hpp"
-#include "core/version_storage.hpp"
+#include "core/server_shard.hpp"
 
 namespace rog {
 namespace core {
-
-/**
- * Plain-data copy of a ServerState's volatile fields (checkpointing).
- * pending[w][u][j] is worker w's exact Q32.32 pending value; a cell
- * whose has_pending flag is 0 holds only zeros.
- */
-struct ServerStateSnapshot
-{
-    std::vector<std::vector<std::vector<std::int64_t>>> pending;
-    std::vector<std::vector<std::uint8_t>> has_pending;
-    std::vector<std::int64_t> last_update;
-};
-
-/** Plain-data copy of an MtaTimeTracker's estimates (checkpointing). */
-struct MtaTrackerSnapshot
-{
-    std::vector<double> rate;          //!< EWMA value per device.
-    std::vector<std::uint8_t> seeded;  //!< EWMA seeded flag per device.
-    std::vector<double> mta_bytes;
-};
 
 /** Accumulated averaged gradients awaiting pull, per worker per unit. */
 class ServerState
@@ -131,62 +110,7 @@ class ServerState
     std::vector<float> scratch_;        //!< pending() output.
 };
 
-/**
- * ATP's shared MTA-time estimate (Algo 4's GetMTATime /
- * UpdateMTATime): each device reports its observed throughput after a
- * push/pull; the tracker estimates, per device, the seconds that
- * device needs to transmit an MTA's worth of bytes, and tMTA is the
- * maximum over devices — so non-stragglers keep transmitting for as
- * long as the slowest device needs for its minimum amount, aligning
- * transmission times.
- */
-class MtaTimeTracker
-{
-  public:
-    /**
-     * @param workers device count.
-     * @param alpha EWMA weight for new throughput observations.
-     * @param floor_seconds / ceil_seconds clamp on tMTA.
-     */
-    explicit MtaTimeTracker(std::size_t workers, double alpha = 0.35,
-                            double floor_seconds = 0.05,
-                            double ceil_seconds = 30.0);
-
-    /**
-     * Current tMTA: max over devices of their estimated MTA
-     * transmission time; +infinity until the first report (the first
-     * iteration transmits everything, like SSP).
-     */
-    double mtaTime() const;
-
-    /**
-     * Report one observed transmission.
-     *
-     * @param worker reporting device.
-     * @param bytes_transmitted total bytes that left the device.
-     * @param elapsed_seconds wall time of the transmission. @pre > 0
-     * @param mta_bytes current size of this device's MTA in bytes.
-     */
-    void report(std::size_t worker, double bytes_transmitted,
-                double elapsed_seconds, double mta_bytes);
-
-    /** Estimated seconds for @p worker to transmit its MTA. */
-    double estimateFor(std::size_t worker) const;
-
-    /** Copy out the per-device rate estimates and MTA sizes. */
-    MtaTrackerSnapshot snapshot() const;
-
-    /** Overwrite from a same-shape snapshot; fails (throws) else. */
-    void restore(const MtaTrackerSnapshot &s);
-
-  private:
-    std::vector<Ewma> rate_;           //!< bytes/sec per device.
-    std::vector<double> mta_bytes_;    //!< latest MTA size per device.
-    double floor_seconds_;
-    double ceil_seconds_;
-};
-
 } // namespace core
 } // namespace rog
 
-#endif // ROG_CORE_SERVER_STATE_HPP
+#endif // ROG_ORACLES_SERVER_STATE_HPP

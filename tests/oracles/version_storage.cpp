@@ -1,4 +1,4 @@
-#include "core/version_storage.hpp"
+#include "oracles/version_storage.hpp"
 
 #include <algorithm>
 

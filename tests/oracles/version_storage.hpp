@@ -1,6 +1,9 @@
 /**
  * @file
- * RSP Version Storage (Fig. 5 / Algo 2).
+ * Test oracle: the original RSP Version Storage (Fig. 5 / Algo 2),
+ * one nested row per worker. Production code keeps the version
+ * matrix in ServerShard (core/server_shard.hpp); the tests hold it
+ * against this one.
  *
  * Tracks, per (worker, unit), the latest training iteration whose
  * gradients for that unit reached the parameter server — the V = {v_i^r}
@@ -10,21 +13,16 @@
  * divergence of the same row across workers and of different rows
  * within one worker.
  */
-#ifndef ROG_CORE_VERSION_STORAGE_HPP
-#define ROG_CORE_VERSION_STORAGE_HPP
+#ifndef ROG_ORACLES_VERSION_STORAGE_HPP
+#define ROG_ORACLES_VERSION_STORAGE_HPP
 
 #include <cstdint>
 #include <vector>
 
+#include "core/server_shard.hpp"
+
 namespace rog {
 namespace core {
-
-/** Plain-data copy of a VersionStorage (checkpointing). */
-struct VersionSnapshot
-{
-    std::vector<std::vector<std::int64_t>> versions;
-    std::vector<std::uint8_t> retired;
-};
 
 /** The server's per-(worker, unit) version matrix. */
 class VersionStorage
@@ -110,4 +108,4 @@ class VersionStorage
 } // namespace core
 } // namespace rog
 
-#endif // ROG_CORE_VERSION_STORAGE_HPP
+#endif // ROG_ORACLES_VERSION_STORAGE_HPP

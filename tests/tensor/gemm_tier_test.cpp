@@ -14,6 +14,7 @@
 #include <string>
 
 #include "common/rng.hpp"
+#include "oracles/ops_oracles.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
