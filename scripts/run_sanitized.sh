@@ -42,7 +42,8 @@ run_tsan() {
         -DROG_SANITIZE=thread
     cmake --build "$dir" -j "$(nproc)" --target \
         thread_pool_test kernel_equivalence_test ops_test conv_test \
-        codec_test codec_fused_test engine_test \
+        codec_test codec_fused_test codec_wire_test unit_wire_test \
+        session_payload_test engine_test \
         replay_determinism_test fleet_determinism_test \
         transport_socket_test transport_tcp_partial_test \
         session_socket_test session_chaos_test
@@ -54,7 +55,8 @@ run_tsan() {
     # pool (per-shard queues + ordered combine) — the main new
     # cross-thread surface of the fleet-scale core.
     for t in thread_pool_test kernel_equivalence_test ops_test \
-        conv_test codec_test codec_fused_test engine_test \
+        conv_test codec_test codec_fused_test codec_wire_test \
+        unit_wire_test session_payload_test engine_test \
         replay_determinism_test fleet_determinism_test; do
         echo ">> tsan: $t (ROG_THREADS=4)"
         ROG_THREADS=4 TSAN_OPTIONS=halt_on_error=1 \

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/buffer_pool.hpp"
 #include "common/logging.hpp"
@@ -9,6 +10,68 @@
 
 namespace rog {
 namespace compress {
+
+namespace {
+
+/** Bytes of the per-chunk one-bit scale. */
+constexpr std::size_t kScaleBytes = 4;
+
+void
+storeU32(std::uint8_t *p, std::uint32_t v)
+{
+    p[0] = static_cast<std::uint8_t>(v);
+    p[1] = static_cast<std::uint8_t>(v >> 8);
+    p[2] = static_cast<std::uint8_t>(v >> 16);
+    p[3] = static_cast<std::uint8_t>(v >> 24);
+}
+
+std::uint32_t
+loadU32(const std::uint8_t *p)
+{
+    return static_cast<std::uint32_t>(p[0]) |
+           static_cast<std::uint32_t>(p[1]) << 8 |
+           static_cast<std::uint32_t>(p[2]) << 16 |
+           static_cast<std::uint32_t>(p[3]) << 24;
+}
+
+void
+storeF32(std::uint8_t *p, float v)
+{
+    std::uint32_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    storeU32(p, bits);
+}
+
+float
+loadF32(const std::uint8_t *p)
+{
+    const std::uint32_t bits = loadU32(p);
+    float v = 0.0f;
+    std::memcpy(&v, &bits, sizeof v);
+    return v;
+}
+
+Result
+encodeResult(std::size_t n, std::size_t wire_bytes)
+{
+    return {static_cast<std::uint32_t>(4 * n),
+            static_cast<std::uint32_t>(wire_bytes), 0};
+}
+
+Result
+errorResult(std::span<const std::uint8_t> wire, std::int32_t error)
+{
+    return {static_cast<std::uint32_t>(wire.size()), 0, error};
+}
+
+Result
+decodeResult(std::span<const std::uint8_t> wire, std::size_t n)
+{
+    return {static_cast<std::uint32_t>(wire.size()),
+            static_cast<std::uint32_t>(4 * n), 0};
+}
+
+} // namespace
 
 OneBitChunkStats
 onebitTranscodeFused(std::span<float> residual,
@@ -124,21 +187,55 @@ onebitTranscodeRef(std::span<float> residual, std::span<const float> grad,
 }
 
 void
-IdentityCodec::transcode(std::size_t, std::size_t block_width,
-                         std::size_t offset, std::span<const float> grad,
-                         std::span<float> out)
+Codec::transcode(std::size_t block, std::size_t block_width,
+                 std::size_t offset, std::span<const float> grad,
+                 std::span<float> out)
+{
+    // Wire scratch leased per call: bounded by the pool's caps,
+    // recycled across calls and threads, so distinct blocks can
+    // transcode concurrently.
+    auto wire = BufferPool::global().leaseBytes(wireBytes(grad.size()));
+    encode(block, block_width, offset, grad, out, wire.span());
+}
+
+void
+Codec::restoreResidual(std::size_t, std::span<const float>)
+{
+    ROG_FATAL("codec ", name(), " keeps no residual to restore");
+}
+
+Result
+IdentityCodec::encode(std::size_t, std::size_t block_width,
+                      std::size_t offset, std::span<const float> grad,
+                      std::span<float> out, std::span<std::uint8_t> wire)
 {
     ROG_ASSERT(grad.size() == out.size(), "codec chunk size mismatch");
     ROG_ASSERT(offset + grad.size() <= block_width,
                "codec chunk exceeds block");
-    for (std::size_t i = 0; i < grad.size(); ++i)
+    ROG_ASSERT(wire.size() == wireBytes(grad.size()),
+               "codec wire size mismatch");
+    for (std::size_t i = 0; i < grad.size(); ++i) {
         out[i] = grad[i];
+        storeF32(wire.data() + 4 * i, grad[i]);
+    }
+    return encodeResult(grad.size(), wire.size());
 }
 
-double
-IdentityCodec::payloadBytes(std::size_t width) const
+Result
+IdentityCodec::decode(std::span<const std::uint8_t> wire,
+                      std::span<float> out) const
 {
-    return 4.0 * static_cast<double>(width);
+    if (wire.size() != wireBytes(out.size()))
+        return errorResult(wire, kBadLength);
+    for (std::size_t i = 0; i < out.size(); ++i)
+        out[i] = loadF32(wire.data() + 4 * i);
+    return decodeResult(wire, out.size());
+}
+
+std::size_t
+IdentityCodec::wireBytes(std::size_t width) const
+{
+    return 4 * width;
 }
 
 void
@@ -192,32 +289,46 @@ TopKCodec::residualFor(std::size_t block, std::size_t block_width)
     return it->second;
 }
 
-void
-OneBitCodec::transcode(std::size_t block, std::size_t block_width,
-                       std::size_t offset, std::span<const float> grad,
-                       std::span<float> out)
+Result
+OneBitCodec::encode(std::size_t block, std::size_t block_width,
+                    std::size_t offset, std::span<const float> grad,
+                    std::span<float> out, std::span<std::uint8_t> wire)
 {
     ROG_ASSERT(grad.size() == out.size(), "codec chunk size mismatch");
     const std::size_t n = grad.size();
     ROG_ASSERT(offset + n <= block_width, "codec chunk exceeds block");
+    ROG_ASSERT(wire.size() == wireBytes(n), "codec wire size mismatch");
 
     BlockState &state = blockFor(block, block_width);
 
-    // Wire-bit scratch leased per call: bounded by the pool's caps,
-    // recycled across calls and threads (the former thread_local
-    // vectors grew to the largest row ever seen and never shrank).
-    auto packed = BufferPool::global().leaseBytes(packedBytes(n));
-
-    const auto stats = onebitTranscodeFused(
-        {state.residual.data() + offset, n}, grad, out, packed.span());
+    // The fused kernel packs the sign bits straight into the wire
+    // bytes behind the scale.
+    const auto stats =
+        onebitTranscodeFused({state.residual.data() + offset, n}, grad,
+                             out, wire.subspan(kScaleBytes));
+    storeF32(wire.data(), stats.scale);
     state.last_sum_abs_grad = static_cast<double>(stats.sum_abs_grad);
+    return encodeResult(n, wire.size());
 }
 
-double
-OneBitCodec::payloadBytes(std::size_t width) const
+Result
+OneBitCodec::decode(std::span<const std::uint8_t> wire,
+                    std::span<float> out) const
 {
-    // Packed sign bits + one float32 scale.
-    return static_cast<double>(packedBytes(width)) + 4.0;
+    if (wire.size() != wireBytes(out.size()))
+        return errorResult(wire, kBadLength);
+    const float scale = loadF32(wire.data());
+    unpackSigns(wire.subspan(kScaleBytes), out.size(), out);
+    // scale * ±1.0f is exact: these are the sender's floats.
+    for (float &v : out)
+        v *= scale;
+    return decodeResult(wire, out.size());
+}
+
+std::size_t
+OneBitCodec::wireBytes(std::size_t width) const
+{
+    return kScaleBytes + packedBytes(width);
 }
 
 double
@@ -239,6 +350,29 @@ OneBitCodec::residualMeanAbs(std::size_t block) const
     return s / static_cast<double>(it->second.residual.size());
 }
 
+std::vector<BlockResidual>
+OneBitCodec::residuals() const
+{
+    std::vector<BlockResidual> out;
+    out.reserve(blocks_.size());
+    for (const auto &[block, state] : blocks_)
+        out.push_back({block, state.residual});
+    std::sort(out.begin(), out.end(),
+              [](const BlockResidual &a, const BlockResidual &b) {
+                  return a.block < b.block;
+              });
+    return out;
+}
+
+void
+OneBitCodec::restoreResidual(std::size_t block,
+                             std::span<const float> values)
+{
+    BlockState &state = blocks_[block];
+    state.residual.assign(values.begin(), values.end());
+    state.last_sum_abs_grad = 0.0;
+}
+
 TopKCodec::TopKCodec(double keep_fraction)
     : keep_fraction_(keep_fraction)
 {
@@ -246,23 +380,30 @@ TopKCodec::TopKCodec(double keep_fraction)
                "top-k keep fraction must be in (0, 1]");
 }
 
-void
-TopKCodec::transcode(std::size_t block, std::size_t block_width,
-                     std::size_t offset, std::span<const float> grad,
-                     std::span<float> out)
+std::size_t
+TopKCodec::keepCount(std::size_t width) const
+{
+    return std::max<std::size_t>(
+        1, static_cast<std::size_t>(
+               std::ceil(keep_fraction_ * static_cast<double>(width))));
+}
+
+Result
+TopKCodec::encode(std::size_t block, std::size_t block_width,
+                  std::size_t offset, std::span<const float> grad,
+                  std::span<float> out, std::span<std::uint8_t> wire)
 {
     ROG_ASSERT(grad.size() == out.size(), "codec chunk size mismatch");
     const std::size_t n = grad.size();
     ROG_ASSERT(offset + n <= block_width, "codec chunk exceeds block");
+    ROG_ASSERT(wire.size() == wireBytes(n), "codec wire size mismatch");
 
     auto &res = residualFor(block, block_width);
 
     for (std::size_t i = 0; i < n; ++i)
         res[offset + i] += grad[i];
 
-    const auto keep = std::max<std::size_t>(
-        1, static_cast<std::size_t>(
-               std::ceil(keep_fraction_ * static_cast<double>(n))));
+    const std::size_t keep = keepCount(n);
 
     // Select the `keep` largest-magnitude positions of this chunk.
     // Selection scratch is leased per call so distinct blocks can
@@ -270,13 +411,16 @@ TopKCodec::transcode(std::size_t block, std::size_t block_width,
     auto order = BufferPool::global().leaseIndices(n);
     for (std::size_t i = 0; i < n; ++i)
         order[i] = i;
-    std::partial_sort(order.data(),
-                      order.data() + static_cast<std::ptrdiff_t>(keep),
+    const auto kept = static_cast<std::ptrdiff_t>(keep);
+    std::partial_sort(order.data(), order.data() + kept,
                       order.data() + n,
                       [&](std::size_t a, std::size_t b) {
                           return std::fabs(res[offset + a]) >
                                  std::fabs(res[offset + b]);
                       });
+    // Ascending indices on the wire: the decoder rejects anything
+    // else, which rules out duplicates in one comparison.
+    std::sort(order.data(), order.data() + kept);
 
     for (std::size_t i = 0; i < n; ++i)
         out[i] = 0.0f;
@@ -284,17 +428,56 @@ TopKCodec::transcode(std::size_t block, std::size_t block_width,
         const std::size_t i = order[k];
         out[i] = res[offset + i];
         res[offset + i] = 0.0f; // exact transmission: no residual left.
+        storeU32(wire.data() + 8 * k, static_cast<std::uint32_t>(i));
+        storeF32(wire.data() + 8 * k + 4, out[i]);
     }
+    return encodeResult(n, wire.size());
 }
 
-double
-TopKCodec::payloadBytes(std::size_t width) const
+Result
+TopKCodec::decode(std::span<const std::uint8_t> wire,
+                  std::span<float> out) const
 {
-    const auto keep = std::max<std::size_t>(
-        1, static_cast<std::size_t>(
-               std::ceil(keep_fraction_ * static_cast<double>(width))));
+    if (wire.size() != wireBytes(out.size()))
+        return errorResult(wire, kBadLength);
+    std::fill(out.begin(), out.end(), 0.0f);
+    const std::size_t keep = wire.size() / 8;
+    for (std::size_t k = 0; k < keep; ++k) {
+        const std::uint32_t i = loadU32(wire.data() + 8 * k);
+        if (i >= out.size() ||
+            (k > 0 && i <= loadU32(wire.data() + 8 * (k - 1))))
+            return errorResult(wire, kBadPayload);
+        out[i] = loadF32(wire.data() + 8 * k + 4);
+    }
+    return decodeResult(wire, out.size());
+}
+
+std::size_t
+TopKCodec::wireBytes(std::size_t width) const
+{
     // Per surviving element: 4-byte index + 4-byte float32 value.
-    return 8.0 * static_cast<double>(keep);
+    return 8 * keepCount(width);
+}
+
+std::vector<BlockResidual>
+TopKCodec::residuals() const
+{
+    std::vector<BlockResidual> out;
+    out.reserve(residual_.size());
+    for (const auto &[block, values] : residual_)
+        out.push_back({block, values});
+    std::sort(out.begin(), out.end(),
+              [](const BlockResidual &a, const BlockResidual &b) {
+                  return a.block < b.block;
+              });
+    return out;
+}
+
+void
+TopKCodec::restoreResidual(std::size_t block,
+                           std::span<const float> values)
+{
+    residual_[block].assign(values.begin(), values.end());
 }
 
 std::unique_ptr<Codec>

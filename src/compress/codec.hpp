@@ -5,10 +5,22 @@
  * The paper compresses gradients with the lossless one-bit scheme of
  * [22]: values quantize to sign * mean(|.|) per block, the lost
  * information is carried forward in an error-compensation residual,
- * and the sign bits are packed (packbits) for the wire. A codec here
- * performs encode+decode in one step — in simulation the sender and
- * receiver share an address space — and reports the wire size the
- * channel must carry.
+ * and the sign bits are packed (packbits) for the wire. encode() does
+ * the sender's half and writes both the reconstruction the receiver
+ * will see and the wire bytes that carry it; decode() is the
+ * receiver's half and turns those bytes back into the identical
+ * floats. transcode() is encode with the wire bytes discarded — what
+ * a simulation, whose sender and receiver share an address space,
+ * needs — and wireBytes() is the exact payload size either way.
+ *
+ * Wire formats, per transmitted chunk of `n` elements, little-endian:
+ *   identity: n x f32.
+ *   onebit:   f32 scale, then packedBytes(n) sign bytes (bit = 1 for
+ *             >= 0, packSigns order); decode is scale * ±1.0f, which
+ *             is exact, so the receiver's floats equal the sender's
+ *             reconstruction bit for bit, -0.0f included.
+ *   topk:     k x (u32 index, f32 value), indices strictly ascending;
+ *             every other element decodes to +0.0f.
  *
  * Codecs are stateful per (direction, peer): the error residual of the
  * worker->server push must not mix with the server->worker pull, so
@@ -34,6 +46,7 @@
 #ifndef ROG_COMPRESS_CODEC_HPP
 #define ROG_COMPRESS_CODEC_HPP
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -81,6 +94,32 @@ OneBitChunkStats onebitTranscodeRef(std::span<float> residual,
                                     std::span<float> out,
                                     std::span<std::uint8_t> packed);
 
+/**
+ * Outcome of one encode or decode call: bytes consumed, bytes
+ * produced, and an error code (0 = OK, < 0 = malformed input).
+ */
+struct Result
+{
+    std::uint32_t bytes_in = 0;
+    std::uint32_t bytes_out = 0;
+    std::int32_t error = 0;
+
+    bool ok() const { return error == 0; }
+};
+
+/** Result::error: the wire length is not wireBytes(width). */
+inline constexpr std::int32_t kBadLength = -1;
+/** Result::error: the bytes have the right length but cannot be a
+ *  payload (e.g. a top-k index out of range or out of order). */
+inline constexpr std::int32_t kBadPayload = -2;
+
+/** One block's error-feedback residual (checkpoint form). */
+struct BlockResidual
+{
+    std::size_t block = 0;
+    std::vector<float> values;
+};
+
 /** Stateful gradient-block encoder/decoder. */
 class Codec
 {
@@ -89,21 +128,54 @@ class Codec
 
     /**
      * Encode the sub-range [offset, offset + grad.size()) of gradient
-     * block @p block and immediately decode into @p out (what the
-     * receiver reconstructs). The block is a compression unit — in
-     * this library always one parameter-matrix row of @p block_width
-     * elements, independent of the *transmission* granularity. Any
-     * quantization error is retained internally per block element
-     * (error compensation) and folded into the next call covering it.
+     * block @p block: write what the receiver reconstructs into
+     * @p out and the payload that carries it into @p wire. The block
+     * is a compression unit — in this library always one
+     * parameter-matrix row of @p block_width elements, independent of
+     * the *transmission* granularity. Any quantization error is
+     * retained internally per block element (error compensation) and
+     * folded into the next call covering it.
      *
      * @pre offset + grad.size() <= block_width
      * @pre grad.size() == out.size()
+     * @pre wire.size() == wireBytes(grad.size())
      * @pre block_width is stable across calls for the same block.
      */
-    virtual void transcode(std::size_t block, std::size_t block_width,
-                           std::size_t offset,
-                           std::span<const float> grad,
-                           std::span<float> out) = 0;
+    virtual Result encode(std::size_t block, std::size_t block_width,
+                          std::size_t offset,
+                          std::span<const float> grad,
+                          std::span<float> out,
+                          std::span<std::uint8_t> wire) = 0;
+
+    /**
+     * Decode a payload of out.size() elements into @p out. Stateless:
+     * any instance of the codec decodes any sender's bytes. The bytes
+     * are untrusted; a length other than wireBytes(out.size()) fails
+     * with kBadLength before @p out is touched, and on any error the
+     * contents of @p out are unspecified.
+     */
+    virtual Result decode(std::span<const std::uint8_t> wire,
+                          std::span<float> out) const = 0;
+
+    /** Exact payload bytes of a transmitted chunk of @p width
+     *  elements (each chunk carries its own scale where needed). */
+    virtual std::size_t wireBytes(std::size_t width) const = 0;
+
+    /** wireBytes() as the channel's byte count. */
+    double
+    payloadBytes(std::size_t width) const
+    {
+        return static_cast<double>(wireBytes(width));
+    }
+
+    /**
+     * encode() with the wire bytes discarded (leased scratch): the
+     * simulation's transcode, where sender and receiver share an
+     * address space.
+     */
+    void transcode(std::size_t block, std::size_t block_width,
+                   std::size_t offset, std::span<const float> grad,
+                   std::span<float> out);
 
     /**
      * Pre-create any per-block state (e.g. the error residual) for
@@ -139,9 +211,21 @@ class Codec
         return 0.0;
     }
 
-    /** Wire payload bytes for a transmitted chunk of @p width
-     *  elements (each chunk carries its own scale where needed). */
-    virtual double payloadBytes(std::size_t width) const = 0;
+    /** Every block's error-feedback residual, ascending by block
+     *  (empty for codecs that keep none). */
+    virtual std::vector<BlockResidual>
+    residuals() const
+    {
+        return {};
+    }
+
+    /**
+     * Replace @p block's residual with @p values (a checkpoint
+     * restore). The caller checks the width against the block.
+     * @throws std::runtime_error for a codec that keeps no residual.
+     */
+    virtual void restoreResidual(std::size_t block,
+                                 std::span<const float> values);
 
     /** Codec name for logs and reports. */
     virtual std::string name() const = 0;
@@ -151,30 +235,39 @@ class Codec
 class IdentityCodec : public Codec
 {
   public:
-    void transcode(std::size_t block, std::size_t block_width,
-                   std::size_t offset, std::span<const float> grad,
-                   std::span<float> out) override;
-    double payloadBytes(std::size_t width) const override;
+    Result encode(std::size_t block, std::size_t block_width,
+                  std::size_t offset, std::span<const float> grad,
+                  std::span<float> out,
+                  std::span<std::uint8_t> wire) override;
+    Result decode(std::span<const std::uint8_t> wire,
+                  std::span<float> out) const override;
+    std::size_t wireBytes(std::size_t width) const override;
     std::string name() const override { return "identity"; }
 };
 
 /**
  * One-bit compression with error compensation [22]: per transmitted
  * chunk of a block, q = mean(|e|) * sign(e) where e = grad + residual,
- * and residual' = e - q. The wire carries one sign bit per element
- * (packed) plus a 4-byte float scale per chunk.
+ * and residual' = e - q. The wire carries a 4-byte float scale plus
+ * one sign bit per element (packed) per chunk.
  */
 class OneBitCodec : public Codec
 {
   public:
-    void transcode(std::size_t block, std::size_t block_width,
-                   std::size_t offset, std::span<const float> grad,
-                   std::span<float> out) override;
+    Result encode(std::size_t block, std::size_t block_width,
+                  std::size_t offset, std::span<const float> grad,
+                  std::span<float> out,
+                  std::span<std::uint8_t> wire) override;
+    Result decode(std::span<const std::uint8_t> wire,
+                  std::span<float> out) const override;
     void prepare(std::size_t block, std::size_t block_width) override;
-    double payloadBytes(std::size_t width) const override;
+    std::size_t wireBytes(std::size_t width) const override;
     std::string name() const override { return "onebit"; }
 
     double lastTranscodeMagnitude(std::size_t block) const override;
+    std::vector<BlockResidual> residuals() const override;
+    void restoreResidual(std::size_t block,
+                         std::span<const float> values) override;
 
     /** Residual magnitude for a block (diagnostics/tests). */
     double residualMeanAbs(std::size_t block) const;
@@ -205,18 +298,26 @@ class TopKCodec : public Codec
     /** @param keep_fraction fraction of each chunk kept, in (0, 1]. */
     explicit TopKCodec(double keep_fraction = 0.1);
 
-    void transcode(std::size_t block, std::size_t block_width,
-                   std::size_t offset, std::span<const float> grad,
-                   std::span<float> out) override;
+    Result encode(std::size_t block, std::size_t block_width,
+                  std::size_t offset, std::span<const float> grad,
+                  std::span<float> out,
+                  std::span<std::uint8_t> wire) override;
+    Result decode(std::span<const std::uint8_t> wire,
+                  std::span<float> out) const override;
     void prepare(std::size_t block, std::size_t block_width) override;
-    double payloadBytes(std::size_t width) const override;
+    std::size_t wireBytes(std::size_t width) const override;
     std::string name() const override { return "topk"; }
+
+    std::vector<BlockResidual> residuals() const override;
+    void restoreResidual(std::size_t block,
+                         std::span<const float> values) override;
 
     double keepFraction() const { return keep_fraction_; }
 
   private:
     std::vector<float> &residualFor(std::size_t block,
                                     std::size_t block_width);
+    std::size_t keepCount(std::size_t width) const;
 
     double keep_fraction_;
     std::unordered_map<std::size_t, std::vector<float>> residual_;

@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "core/server_checkpoint.hpp"
+#include "core/unit_wire.hpp"
 #include "net/transport/event_log.hpp"
 #include "nn/serialize.hpp"
 
@@ -39,6 +40,22 @@ readSummary(const std::string &path)
     while (is >> key >> value)
         kv[key] = value;
     return kv;
+}
+
+/** Per-unit payload bytes the DES charges for @p cfg's model and
+ *  codec, less the per-unit index overhead. */
+std::vector<std::size_t>
+expectedUnitBytes(const NodeRunConfig &cfg)
+{
+    std::unique_ptr<Workload> workload = makeNodeWorkload(cfg);
+    std::unique_ptr<nn::Model> model = workload->buildReplica();
+    const FlatModel flat(*model);
+    const RowPartition partition(flat, cfg.train.granularity);
+    const auto codec = compress::makeCodec(cfg.train.codec);
+    std::vector<std::size_t> bytes;
+    for (const Unit &u : partition.units())
+        bytes.push_back(unitWireBytes(*codec, flat, u));
+    return bytes;
 }
 
 } // namespace
@@ -101,6 +118,9 @@ checkChaosRun(const NodeRunConfig &cfg, const ChaosCheckOptions &opts)
         std::set<std::size_t> byes;
     };
     std::vector<Incarnation> incs;
+    const std::vector<std::size_t> unit_bytes = expectedUnitBytes(cfg);
+    std::size_t wire_applies = 0;
+    std::size_t wire_mismatches = 0;
     {
         std::size_t total_applies = 0;
         std::size_t dup_applies = 0;
@@ -118,11 +138,34 @@ checkChaosRun(const NodeRunConfig &cfg, const ChaosCheckOptions &opts)
             unsigned inc = 0;
             unsigned long long epoch = 0;
             int recovered = 0;
+            std::size_t bytes = 0;
             char mode[16] = {0};
-            if (std::sscanf(line.c_str(),
-                            "t=%lf apply w=%zu iter=%lld unit=%zu", &t,
-                            &w, &iter, &unit) == 4) {
+            const int apply_fields =
+                std::sscanf(line.c_str(),
+                            "t=%lf apply w=%zu iter=%lld unit=%zu "
+                            "bytes=%zu",
+                            &t, &w, &iter, &unit, &bytes);
+            if (apply_fields >= 4) {
                 ++total_applies;
+                // 8. The bytes the socket carried for this push are
+                //    exactly what the DES charges for the unit.
+                ++wire_applies;
+                if (apply_fields != 5 || unit >= unit_bytes.size() ||
+                    bytes != unit_bytes[unit]) {
+                    ++wire_mismatches;
+                    violate("push payload bytes differ from DES "
+                            "accounting: w=" +
+                            std::to_string(w) +
+                            " iter=" + std::to_string(iter) +
+                            " unit=" + std::to_string(unit) +
+                            " bytes=" +
+                            (apply_fields == 5 ? std::to_string(bytes)
+                                               : std::string("?")) +
+                            " want=" +
+                            (unit < unit_bytes.size()
+                                 ? std::to_string(unit_bytes[unit])
+                                 : std::string("?")));
+                }
                 Incarnation &seg = cur();
                 std::ostringstream key;
                 key << w << ':' << iter << ':' << unit;
@@ -187,6 +230,8 @@ checkChaosRun(const NodeRunConfig &cfg, const ChaosCheckOptions &opts)
         report << "applies: " << total_applies << " total over "
                << incs.size() << " server incarnation(s), "
                << dup_applies << " double-applied\n";
+        report << "wire bytes: " << wire_applies << " pushes, "
+               << wire_mismatches << " differ from DES accounting\n";
     }
 
     // 4. Transport-level exactly-once from the server's receiver

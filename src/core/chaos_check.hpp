@@ -27,6 +27,11 @@
  *     later incarnation, and every worker that finished after the
  *     last restart was re-admitted under the final epoch.
  *
+ *  8. Wire bytes equal DES accounting: every applied push's payload
+ *     size (the server log's per-apply `bytes=`) equals the sum of
+ *     the codec's wireBytes over the unit's row chunks — what the
+ *     coroutine engine charges for the unit minus its index overhead.
+ *
  * Violations are returned as human-readable strings; an empty list is
  * a passing run.
  */

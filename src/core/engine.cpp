@@ -17,6 +17,7 @@
 #include "core/mta.hpp"
 #include "core/server_checkpoint.hpp"
 #include "core/server_shard.hpp"
+#include "core/unit_wire.hpp"
 #include "data/dataset.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
@@ -306,17 +307,11 @@ Engine::Engine(Workload &workload, const EngineConfig &cfg,
     // the per-unit index tag.
     auto sizer = compress::makeCodec(cfg.codec);
     unit_bytes_.resize(units);
-    FlatModel &flat0 = *workers_[0].flat;
-    for (std::size_t u = 0; u < units; ++u) {
-        const Unit &unit = partition_->unit(u);
-        double bytes = partition_->perUnitOverheadBytes();
-        flat0.forEachRowChunk(unit.begin, unit.width,
-                              [&](std::size_t, std::size_t,
-                                  std::size_t count, std::size_t) {
-                                  bytes += sizer->payloadBytes(count);
-                              });
-        unit_bytes_[u] = bytes;
-    }
+    for (std::size_t u = 0; u < units; ++u)
+        unit_bytes_[u] = partition_->perUnitOverheadBytes() +
+                         static_cast<double>(unitWireBytes(
+                             *sizer, *workers_[0].flat,
+                             partition_->unit(u)));
 
     version_cond_ = std::make_unique<sim::Condition>(sim_);
 
@@ -1483,14 +1478,9 @@ modelWireBytes(Workload &workload, Granularity granularity,
     RowPartition partition(flat, granularity);
     auto codec = compress::makeCodec(codec_name);
     double bytes = 0.0;
-    for (const Unit &u : partition.units()) {
-        bytes += partition.perUnitOverheadBytes();
-        flat.forEachRowChunk(u.begin, u.width,
-                             [&](std::size_t, std::size_t,
-                                 std::size_t count, std::size_t) {
-                                 bytes += codec->payloadBytes(count);
-                             });
-    }
+    for (const Unit &u : partition.units())
+        bytes += partition.perUnitOverheadBytes() +
+                 static_cast<double>(unitWireBytes(*codec, flat, u));
     return bytes;
 }
 

@@ -11,6 +11,13 @@
  * them. The server's per-worker handler of Algo 2 runs inline in the
  * worker's process — the simulation shares one address space, so the
  * server is its state (a ShardedServer), not a thread.
+ *
+ * The node roles (node_engine.hpp) share the codec semantics, not the
+ * scheduling: both key push codec blocks by row chunk and transcode
+ * every pull through a per-worker pull codec, and a node's bytes on
+ * the wire equal this engine's unit_bytes_ minus the per-unit index
+ * overhead (core/unit_wire.hpp). Importance ordering, ATP and the
+ * simulated channel exist only here.
  */
 #ifndef ROG_CORE_ENGINE_HPP
 #define ROG_CORE_ENGINE_HPP

@@ -8,6 +8,7 @@
 
 #include "common/logging.hpp"
 #include "core/server_checkpoint.hpp"
+#include "core/unit_wire.hpp"
 #include "net/transport/backend.hpp"
 #include "nn/loss.hpp"
 #include "nn/serialize.hpp"
@@ -65,7 +66,8 @@ ServerNode::ServerNode(net::session::Fabric &fabric, Workload &workload,
       table_(workload.workers(), cfg.epoch, cfg.session_salt),
       server_(workload.workers(), *partition_, 1),
       tracker_(workload.workers(), cfg.detector),
-      peers_(workload.workers())
+      peers_(workload.workers()), decoder_(compress::makeCodec(cfg.codec)),
+      pull_codecs_(makePullCodecs({}))
 {
     recovered_ = restoreFromCheckpoint();
 }
@@ -104,8 +106,10 @@ ServerNode::restoreFromCheckpoint()
             std::istringstream is(s);
             nn::loadModel(is, *probe);
         }
+        auto pull_codecs = makePullCodecs(ckpt.pull_residual);
         server_.shard(0).restore(ckpt.versions, ckpt.server,
                                  ckpt.tracker);
+        pull_codecs_ = std::move(pull_codecs);
         {
             std::string s(ckpt.model.begin(), ckpt.model.end());
             std::istringstream is(s);
@@ -133,6 +137,32 @@ ServerNode::restoreFromCheckpoint()
         logLine(fmt(fabric_.now(), os.str().c_str()));
         return false;
     }
+}
+
+std::vector<std::unique_ptr<compress::Codec>>
+ServerNode::makePullCodecs(
+    const std::vector<std::vector<compress::BlockResidual>> &residuals)
+    const
+{
+    if (!residuals.empty() && residuals.size() != peers_.size())
+        throw std::runtime_error(
+            "checkpoint pull residuals do not cover this fleet");
+    std::vector<std::unique_ptr<compress::Codec>> codecs;
+    for (std::size_t w = 0; w < peers_.size(); ++w) {
+        codecs.push_back(compress::makeCodec(cfg_.codec));
+        if (residuals.empty())
+            continue;
+        // Blocks are rows, as the pull encode keys them: a block the
+        // model lacks, or of the wrong width, is a foreign residual.
+        for (const compress::BlockResidual &b : residuals[w]) {
+            if (b.block >= flat_->rowCount() ||
+                b.values.size() != flat_->rowInfo(b.block).width)
+                throw std::runtime_error(
+                    "checkpoint pull residual does not fit the model");
+            codecs.back()->restoreResidual(b.block, b.values);
+        }
+    }
+    return codecs;
 }
 
 void
@@ -294,6 +324,11 @@ ServerNode::onHello(std::vector<std::uint8_t> &&bytes)
     // is the whole point of resuming.
     if (a.mode == AdmitMode::Rejoin)
         server_.clearWorker(w);
+    // The pull residual belongs to the worker's model trajectory: a
+    // resumed worker still owes it, a resynced one starts clean (as
+    // Engine::rejoinResync resets w.pull_codec).
+    if (a.mode != AdmitMode::Resume)
+        pull_codecs_[w] = compress::makeCodec(cfg_.codec);
 
     peer.pending_pull = -1;
     peer.bye = false;
@@ -335,9 +370,11 @@ ServerNode::onPush(const MessageKey &key,
     const std::size_t unit = key.row;
     if (unit >= partition_->unitCount())
         return;
-    std::vector<float> decoded;
-    if (!net::session::parseFloats(bytes, decoded) ||
-        decoded.size() != partition_->unit(unit).width)
+    // A payload of the wrong length (or a malformed one) is ignored
+    // before anything changes: it is not a push of this unit.
+    const Unit &u = partition_->unit(unit);
+    decoded_.resize(u.width);
+    if (!decodeUnit(*decoder_, *flat_, u, bytes, decoded_).ok())
         return;
 
     // Application-level exactly-once: the version matrix is monotone
@@ -358,7 +395,7 @@ ServerNode::onPush(const MessageKey &key,
     // model. Its version is still recorded, so the push counts as
     // received — a retransmission stays a duplicate and the RSP gate
     // does not wait on a gradient that will never be applied.
-    if (!server_.accumulate(unit, decoded)) {
+    if (!server_.accumulate(unit, decoded_)) {
         ++rejected_pushes_;
         server_.updateVersion(w, unit, iter);
         std::ostringstream os;
@@ -375,10 +412,9 @@ ServerNode::onPush(const MessageKey &key,
     // gets, so a rejoiner resyncing from it owes nothing twice.
     const float inv =
         1.0f / static_cast<float>(workload_.workers());
-    scaled_.resize(decoded.size());
-    for (std::size_t i = 0; i < decoded.size(); ++i)
-        scaled_[i] = decoded[i] * inv;
-    const Unit &u = partition_->unit(unit);
+    scaled_.resize(decoded_.size());
+    for (std::size_t i = 0; i < decoded_.size(); ++i)
+        scaled_[i] = decoded_[i] * inv;
     flat_->forEachRowChunk(
         u.begin, u.width,
         [&](std::size_t row, std::size_t col_begin, std::size_t count,
@@ -391,11 +427,17 @@ ServerNode::onPush(const MessageKey &key,
     ++applied_pushes_;
     ++applies_since_ckpt_;
     std::ostringstream os;
-    os << "apply w=" << w << " iter=" << iter << " unit=" << unit;
+    os << "apply w=" << w << " iter=" << iter << " unit=" << unit
+       << " bytes=" << bytes.size();
     logLine(fmt(fabric_.now(), os.str().c_str()));
     maybeCheckpoint();
     if (apply_hook_)
-        apply_hook_(iter);
+        apply_hook_({.worker = w,
+                     .iter = iter,
+                     .unit = unit,
+                     .grad = {},
+                     .values = decoded_,
+                     .wire_bytes = bytes.size()});
     answerReadyPulls();
 }
 
@@ -514,25 +556,35 @@ ServerNode::answerPull(std::size_t w, std::int64_t iter)
     // gradients queued until the worker reconnects or is evicted.
     if (!fabric_.hasPeer(workerNode(w)))
         return;
-    PullData pd;
+    // Every pending unit goes through the worker's pull codec, as the
+    // engine transcodes each pull through w.pull_codec: the wire
+    // carries its bytes, its residual keeps what they leave out.
+    PullData &pd = pull_msg_;
     pd.iter = iter;
     pd.min_done = server_.minWorkerIteration();
+    std::size_t units = 0;
+    std::size_t payload = 0;
     for (std::size_t u = 0; u < partition_->unitCount(); ++u) {
         if (!server_.hasPending(w, u))
             continue;
-        UnitUpdate up;
+        if (units == pd.units.size())
+            pd.units.emplace_back();
+        UnitUpdate &up = pd.units[units++];
         up.unit = static_cast<std::uint32_t>(u);
         std::span<float> pending = server_.pending(w, u);
-        up.values.assign(pending.begin(), pending.end());
-        pd.units.push_back(std::move(up));
+        pull_out_.resize(pending.size());
+        encodeUnit(*pull_codecs_[w], *flat_, partition_->unit(u), pending,
+                   pull_out_, up.bytes);
+        payload += up.bytes.size();
         server_.clearPending(w, u);
     }
+    pd.units.resize(units);
     peers_[w].pending_pull = -1;
     table_.noteResponse(w, iter);
 
     std::ostringstream os;
     os << "pull_answer w=" << w << " iter=" << iter
-       << " units=" << pd.units.size();
+       << " units=" << pd.units.size() << " bytes=" << payload;
     logLine(fmt(fabric_.now(), os.str().c_str()));
 
     MessageKey key{static_cast<std::uint16_t>(w),
@@ -568,6 +620,8 @@ ServerNode::checkpointNow()
     ckpt.worker_done.resize(peers_.size());
     for (std::size_t w = 0; w < peers_.size(); ++w)
         ckpt.worker_done[w] = peers_[w].bye ? 1 : 0;
+    for (const auto &codec : pull_codecs_)
+        ckpt.pull_residual.push_back(codec->residuals());
     writeServerCheckpointFile(cfg_.checkpoint_path, ckpt);
     applies_since_ckpt_ = 0;
     std::ostringstream os;
@@ -806,12 +860,11 @@ WorkerNode::onWelcome(std::vector<std::uint8_t> &&bytes)
     // recomputing (the codec residual has moved on). Any other
     // admission mode resynced the model, which already covers — or
     // deliberately discards — whatever was in flight.
-    if (w.mode == AdmitMode::Resume && !parked_.empty() &&
-        parked_iter_ == done_iter_ + 1) {
+    if (w.mode == AdmitMode::Resume && parked_iter_ == done_iter_ + 1) {
         repushParked();
         return;
     }
-    parked_.clear();
+    parked_iter_ = 0;
     beginIteration();
 }
 
@@ -870,20 +923,26 @@ WorkerNode::beginIteration()
             : nn::softmaxCrossEntropy(out, batch.labels);
     model_->backward(loss.grad);
 
-    // Encode every synchronization unit through the codec and park
-    // the bytes: if the server dies mid-push, the next admission can
-    // re-send these exact payloads (the codec residual has already
-    // advanced, so a recompute would not reproduce them).
-    parked_.clear();
-    parked_.reserve(partition_->unitCount());
+    // Encode every synchronization unit per row chunk (codec block =
+    // row, as the engine keys it) and park the codec's bytes as the
+    // push payloads: if the server dies mid-push, the next admission
+    // can re-send these exact payloads (the codec residual has
+    // already advanced, so a recompute would not reproduce them).
+    parked_.resize(partition_->unitCount());
     parked_iter_ = iter_;
     for (std::size_t u = 0; u < partition_->unitCount(); ++u) {
         const Unit &unit = partition_->unit(u);
         grad_.resize(unit.width);
         decoded_.resize(unit.width);
         flat_->gatherGrad(unit.begin, grad_);
-        codec_->transcodeRow(u, grad_, decoded_);
-        parked_.push_back(net::session::encodeFloats(decoded_));
+        encodeUnit(*codec_, *flat_, unit, grad_, decoded_, parked_[u]);
+        if (push_hook_)
+            push_hook_({.worker = worker_,
+                        .iter = iter_,
+                        .unit = u,
+                        .grad = grad_,
+                        .values = decoded_,
+                        .wire_bytes = parked_[u].size()});
     }
     sendParked();
 }
@@ -959,10 +1018,36 @@ WorkerNode::onPullData(std::vector<std::uint8_t> &&bytes)
     if (!net::session::parse(bytes, pd) || phase_ != Phase::PullWait ||
         pd.iter != iter_)
         return;
-    for (const UnitUpdate &u : pd.units)
-        applyUnit(u.unit, u.values);
+    // Decode every unit before applying any: a PullData whose units,
+    // widths or byte lengths disagree with this partition, or that
+    // decodes to a non-finite value, is dropped whole. (Decoding is
+    // stateless, so the push codec's instance serves.)
+    if (pd.units.size() > partition_->unitCount())
+        return;
+    pulled_.clear();
+    for (std::size_t i = 0; i < pd.units.size(); ++i) {
+        const UnitUpdate &u = pd.units[i];
+        if (u.unit >= partition_->unitCount() ||
+            (i > 0 && u.unit <= pd.units[i - 1].unit))
+            return; // foreign, repeated or out-of-order unit.
+        const Unit &unit = partition_->unit(u.unit);
+        const std::size_t off = pulled_.size();
+        pulled_.resize(off + unit.width);
+        const std::span<float> out(pulled_.data() + off, unit.width);
+        if (!decodeUnit(*codec_, *flat_, unit, u.bytes, out).ok() ||
+            !std::all_of(out.begin(), out.end(),
+                         [](float v) { return std::isfinite(v); }))
+            return;
+    }
+    std::size_t off = 0;
+    for (const UnitUpdate &u : pd.units) {
+        const std::size_t width = partition_->unit(u.unit).width;
+        applyUnit(u.unit, std::span<const float>(pulled_.data() + off,
+                                                 width));
+        off += width;
+    }
     done_iter_ = iter_;
-    parked_.clear(); // the iteration landed; nothing left to re-send.
+    parked_iter_ = 0; // the iteration landed; nothing left to re-send.
     writeLocalCheckpoint();
     std::ostringstream os;
     os << "iter=" << iter_ << " phase=applied units=" << pd.units.size();
@@ -971,11 +1056,8 @@ WorkerNode::onPullData(std::vector<std::uint8_t> &&bytes)
 }
 
 void
-WorkerNode::applyUnit(std::uint32_t unit, std::span<const float> values)
+WorkerNode::applyUnit(std::size_t unit, std::span<const float> values)
 {
-    if (unit >= partition_->unitCount() ||
-        values.size() != partition_->unit(unit).width)
-        return;
     const Unit &u = partition_->unit(unit);
     flat_->forEachRowChunk(
         u.begin, u.width,

@@ -1,31 +1,48 @@
 /**
  * @file
  * The ROG engine's worker and server roles bound onto a session
- * Fabric — the same training semantics as the in-process engine
- * (engine.hpp), factored into two message-driven nodes so they can
- * run in separate processes over real sockets *or* co-resident in one
- * discrete-event simulation, byte-for-byte the same logic.
+ * Fabric: two message-driven nodes that run in separate processes
+ * over real sockets *or* co-resident in one discrete-event
+ * simulation, byte-for-byte the same logic.
+ *
+ * What they share with the in-process engine (engine.hpp): the
+ * minibatch step, the row partition, the server state (a one-shard
+ * ShardedServer), the RSP gate, and the codec semantics in both
+ * directions — a push is encoded per row chunk with codec block =
+ * global row, as Engine::transcodeUnit keys it, and every pull is
+ * transcoded through a per-worker pull codec, as the engine's
+ * w.pull_codec is. What they do not share: the engine's importance
+ * ordering, ATP's MTA-time scheduling and its simulated channel;
+ * here every unit is pushed each iteration and the wire is real.
+ *
+ * Wire payloads are the codec's bytes (core/unit_wire.hpp): a push
+ * carries one unit's payload, PullData one payload per pending unit,
+ * so the bytes on the socket equal what the DES charges for the same
+ * units minus the per-unit index overhead.
  *
  * ServerNode: parameter-server half. Admits workers through a
- * SessionTable (epoch + resume-token gated handshake), accumulates
- * decoded gradient pushes into a one-shard ShardedServer's outbox
+ * SessionTable (epoch + resume-token gated handshake), decodes each
+ * push (exact length, then the quarantine of non-finite or
+ * out-of-range values) into a one-shard ShardedServer's outbox
  * (gradient conservation), gates pulls on the RSP staleness bound,
- * applies every contribution to a canonical model replica (the resync
- * source for rejoining workers), drives the phi-accrual
- * MembershipTracker from heartbeats, and checkpoints its volatile
- * state crash-consistently. A worker that vanishes mid-push is
- * suspected, evicted, and — when its restarted process says Hello —
- * re-admitted through the same suspect→dead→rejoining lifecycle a
- * simulated crash takes; at the server's state level the two are
- * indistinguishable.
+ * encodes pending units through the worker's pull codec, applies
+ * every contribution to a canonical model replica (the resync source
+ * for rejoining workers), drives the phi-accrual MembershipTracker
+ * from heartbeats, and checkpoints its volatile state — pull-codec
+ * residuals included — crash-consistently. A worker that vanishes
+ * mid-push is suspected, evicted, and — when its restarted process
+ * says Hello — re-admitted through the same suspect→dead→rejoining
+ * lifecycle a simulated crash takes; at the server's state level the
+ * two are indistinguishable.
  *
  * WorkerNode: training half. Handshakes (with capped-exponential
- * retry), computes real minibatch gradients, pushes each
- * synchronization unit through its one-bit codec, requests a pull
- * once every push of the iteration is acknowledged, applies the
- * averaged gradients, and writes a local checkpoint (model + resume
- * token) after every applied pull so its next incarnation can resume
- * instead of resyncing.
+ * retry), computes real minibatch gradients, encodes each
+ * synchronization unit through its push codec, requests a pull once
+ * every push of the iteration is acknowledged, decodes and applies
+ * the averaged gradients (a PullData that disagrees with the
+ * partition is dropped whole), and writes a local checkpoint (model +
+ * resume token) after every applied pull so its next incarnation can
+ * resume instead of resyncing.
  *
  * All I/O goes through the Fabric; neither class names a socket, a
  * simulation, or a backend.
@@ -36,7 +53,9 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "compress/codec.hpp"
 #include "core/failure_detector.hpp"
@@ -54,6 +73,26 @@ namespace core {
 
 /** One structured line into the node's run log. */
 using NodeLogger = std::function<void(const std::string &)>;
+
+/**
+ * One gradient push as a node handled it (harness observation). The
+ * spans are valid only for the duration of the callback.
+ */
+struct PushRecord
+{
+    std::size_t worker = 0;
+    std::int64_t iter = 0;
+    std::size_t unit = 0;
+    /** Worker: the unit's raw gradient. Server: empty. */
+    std::span<const float> grad;
+    /** Worker: the codec's reconstruction. Server: the decoded
+     *  payload it applied. */
+    std::span<const float> values;
+    std::size_t wire_bytes = 0; //!< the unit payload's size.
+};
+
+/** Callback for PushRecord observations. */
+using PushHook = std::function<void(const PushRecord &)>;
 
 /** Knobs shared by both roles of one training run. */
 struct NodeTrainConfig
@@ -154,11 +193,14 @@ class ServerNode
     /** True when construction restored a ROGS checkpoint. */
     bool recovered() const { return recovered_; }
 
-    /** Test/harness hook: fired after every applied push with the
-     *  push's iteration (e.g. to schedule a mid-run server crash). */
-    void setApplyHook(std::function<void(std::int64_t)> hook)
+    /** Test/harness hook: fired after every applied push (e.g. to
+     *  schedule a mid-run server crash). */
+    void setApplyHook(PushHook hook) { apply_hook_ = std::move(hook); }
+
+    /** Worker @p w's pull codec (its error-feedback residual). */
+    const compress::Codec &pullCodec(std::size_t w) const
     {
-        apply_hook_ = std::move(hook);
+        return *pull_codecs_[w];
     }
 
     /** Pushes applied / recorded-duplicate / stale-session counts. */
@@ -196,6 +238,11 @@ class ServerNode
     void evictWorker(std::size_t w);
     /** Try to restore a ROGS checkpoint; false = start fresh. */
     bool restoreFromCheckpoint();
+    /** Fresh pull codecs carrying @p residuals (one list per worker,
+     *  or none); @throws on a block the model does not have. */
+    std::vector<std::unique_ptr<compress::Codec>> makePullCodecs(
+        const std::vector<std::vector<compress::BlockResidual>>
+            &residuals) const;
     void maybeCheckpoint();
     void checkDone();
     void logLine(const std::string &line);
@@ -217,7 +264,17 @@ class ServerNode
     MembershipTracker tracker_;
 
     std::vector<WorkerPeer> peers_;
-    std::vector<float> scaled_; //!< scratch: decoded / num_workers.
+    /** Stateless: decodes pushes and sizes payloads. */
+    std::unique_ptr<compress::Codec> decoder_;
+    /** Per-worker pull codecs: the server->worker error residual
+     *  (reset on every non-Resume admission). */
+    std::vector<std::unique_ptr<compress::Codec>> pull_codecs_;
+    std::vector<float> decoded_; //!< scratch: a push's decoded unit.
+    std::vector<float> scaled_;  //!< scratch: decoded / num_workers.
+    std::vector<float> pull_out_; //!< scratch: pull reconstruction.
+    /** Scratch: the PullData under construction; its unit buffers
+     *  keep their capacity from one pull to the next. */
+    net::session::PullData pull_msg_;
     net::session::FabricTimer member_timer_ = 0;
     std::uint32_t ctrl_seq_ = 1; //!< server control-message keys.
     std::size_t applied_pushes_ = 0;
@@ -226,7 +283,7 @@ class ServerNode
     std::size_t stale_drops_ = 0;
     std::size_t applies_since_ckpt_ = 0;
     bool recovered_ = false;
-    std::function<void(std::int64_t)> apply_hook_;
+    PushHook apply_hook_;
     bool done_ = false;
 };
 
@@ -265,6 +322,9 @@ class WorkerNode
     std::uint32_t session() const { return session_; }
     nn::Model &model() { return *model_; }
 
+    /** Test/harness hook: fired for every unit encoded for a push. */
+    void setPushHook(PushHook hook) { push_hook_ = std::move(hook); }
+
   private:
     enum class Phase {
         Hello,    //!< (re)handshaking.
@@ -295,7 +355,7 @@ class WorkerNode
     void repushParked();
     /** Ship parked_ as iter_'s unit pushes under the live session. */
     void sendParked();
-    void applyUnit(std::uint32_t unit, std::span<const float> values);
+    void applyUnit(std::size_t unit, std::span<const float> values);
     void writeLocalCheckpoint();
     /** Transport trouble: tear down and re-handshake. */
     void resync(const char *why);
@@ -337,6 +397,10 @@ class WorkerNode
     std::uint32_t hb_seq_ = 1;
     std::vector<float> grad_;    //!< scratch: gathered unit gradient.
     std::vector<float> decoded_; //!< scratch: codec reconstruction.
+    /** Scratch: a PullData's decoded units, validated whole before
+     *  any is applied. */
+    std::vector<float> pulled_;
+    PushHook push_hook_;
 
     /** Consecutive best-effort heartbeat send failures. */
     std::size_t hb_fail_streak_ = 0;
@@ -348,13 +412,14 @@ class WorkerNode
     std::size_t server_gap_samples_ = 0;
 
     /**
-     * The in-flight iteration's encoded unit payloads, parked so a
-     * server restart mid-push can re-send them under the new session
-     * instead of recomputing (the codec residual already advanced —
-     * a recompute would not reproduce these bytes).
+     * The in-flight iteration's encoded unit payloads (codec bytes),
+     * parked so a server restart mid-push can re-send them under the
+     * new session instead of recomputing (the codec residual already
+     * advanced — a recompute would not reproduce these bytes). The
+     * buffers keep their capacity from one iteration to the next.
      */
     std::vector<std::vector<std::uint8_t>> parked_;
-    std::int64_t parked_iter_ = 0;
+    std::int64_t parked_iter_ = 0; //!< 0 = nothing parked.
 };
 
 } // namespace core

@@ -318,10 +318,11 @@ runDesTwin(const NodeRunConfig &cfg)
                                                train, log.logger());
     bool crash_requested = false;
     if (crash_plan)
-        server->setApplyHook([&crash_requested, &cfg](std::int64_t it) {
-            if (it >= cfg.server_crash_iter)
-                crash_requested = true;
-        });
+        server->setApplyHook(
+            [&crash_requested, &cfg](const PushRecord &rec) {
+                if (rec.iter >= cfg.server_crash_iter)
+                    crash_requested = true;
+            });
     server->start();
 
     std::vector<std::unique_ptr<WorkerNode>> nodes;

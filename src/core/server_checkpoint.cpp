@@ -1,5 +1,6 @@
 #include "core/server_checkpoint.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -22,8 +23,15 @@ constexpr char kMagic[4] = {'R', 'O', 'G', 'S'};
 // pending gradient as its exact Q32.32 int64 sum instead of a float,
 // so a restore reproduces the fixed-point server bit for bit; a value
 // at or past the server's pending limit (2^30 in real value) is
-// rejected. Older files are rejected rather than guessed at.
-constexpr std::uint32_t kVersion = 3;
+// rejected. v4 adds each worker's pull-codec residual after the MTA
+// estimates, so a Resume admission after a restart keeps the
+// error-feedback mass. Older files are rejected rather than guessed
+// at.
+constexpr std::uint32_t kVersion = 4;
+
+// Residual blocks are parameter-matrix rows: a width past this is a
+// corrupted field (checked before the width drives an allocation).
+constexpr std::uint32_t kMaxResidualWidth = 1u << 24;
 
 // A server checkpoint holds one int64 per (worker, unit, element):
 // anything past this is a corrupted size field, not a real file.
@@ -49,6 +57,12 @@ putI64(std::string &out, std::int64_t v)
 
 void
 putF64(std::string &out, double v)
+{
+    out.append(reinterpret_cast<const char *>(&v), sizeof(v));
+}
+
+void
+putF32(std::string &out, float v)
 {
     out.append(reinterpret_cast<const char *>(&v), sizeof(v));
 }
@@ -83,6 +97,17 @@ class Cursor
             std::memcpy(dst.data(), data_ + pos_,
                         n * sizeof(std::int64_t));
         pos_ += n * sizeof(std::int64_t);
+    }
+
+    void
+    takeF32s(std::vector<float> &dst, std::size_t n)
+    {
+        if ((size_ - pos_) / sizeof(float) < n)
+            ROG_FATAL("server checkpoint: truncated payload");
+        dst.resize(n);
+        if (n > 0)
+            std::memcpy(dst.data(), data_ + pos_, n * sizeof(float));
+        pos_ += n * sizeof(float);
     }
 
     void
@@ -152,6 +177,19 @@ encodePayload(const ServerCheckpoint &c)
         putF64(out, c.tracker.rate[w]);
         out.push_back(static_cast<char>(c.tracker.seeded[w]));
         putF64(out, c.tracker.mta_bytes[w]);
+    }
+    ROG_ASSERT(c.pull_residual.empty() ||
+                   c.pull_residual.size() == workers,
+               "pull residual fleet-size mismatch");
+    putU32(out, static_cast<std::uint32_t>(c.pull_residual.size()));
+    for (const auto &blocks : c.pull_residual) {
+        putU32(out, static_cast<std::uint32_t>(blocks.size()));
+        for (const compress::BlockResidual &b : blocks) {
+            putU32(out, static_cast<std::uint32_t>(b.block));
+            putU32(out, static_cast<std::uint32_t>(b.values.size()));
+            for (float v : b.values)
+                putF32(out, v);
+        }
     }
     putU64(out, c.epoch);
     ROG_ASSERT(c.sessions.entries.empty() ||
@@ -239,6 +277,37 @@ decodePayload(const std::string &payload)
         c.tracker.rate[w] = cur.take<double>();
         c.tracker.seeded[w] = cur.take<std::uint8_t>();
         c.tracker.mta_bytes[w] = cur.take<double>();
+    }
+    const auto residual_count = cur.take<std::uint32_t>();
+    if (residual_count != 0 && residual_count != workers)
+        ROG_FATAL("server checkpoint: pull residual count ",
+                  residual_count, " != fleet size ", workers);
+    c.pull_residual.resize(residual_count);
+    for (std::uint32_t w = 0; w < residual_count; ++w) {
+        // Each block costs at least its 8 header bytes: a count past
+        // that is a corrupted field, not a reason to allocate.
+        const auto blocks = cur.take<std::uint32_t>();
+        if (blocks > payload.size() / 8)
+            ROG_FATAL("server checkpoint: implausible residual block "
+                      "count ", blocks);
+        c.pull_residual[w].resize(blocks);
+        for (std::uint32_t k = 0; k < blocks; ++k) {
+            compress::BlockResidual &b = c.pull_residual[w][k];
+            b.block = cur.take<std::uint32_t>();
+            if (k > 0 && b.block <= c.pull_residual[w][k - 1].block)
+                ROG_FATAL("server checkpoint: worker ", w,
+                          " pull residual blocks out of order");
+            const auto width = cur.take<std::uint32_t>();
+            if (width > kMaxResidualWidth)
+                ROG_FATAL("server checkpoint: implausible residual "
+                          "width ", width);
+            cur.takeF32s(b.values, width);
+            for (float v : b.values)
+                if (!std::isfinite(v))
+                    ROG_FATAL("server checkpoint: worker ", w,
+                              " block ", b.block,
+                              " pull residual is non-finite");
+        }
     }
     c.epoch = cur.take<std::uint64_t>();
     const auto session_count = cur.take<std::uint32_t>();

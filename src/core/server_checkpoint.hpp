@@ -3,8 +3,9 @@
  * Crash-consistent parameter-server checkpointing.
  *
  * The server's volatile state — the RSP version matrix, every
- * worker's pending gradients (exact Q32.32 sums since format v3), and
- * ATP's MTA-time estimates — is periodically serialized as a
+ * worker's pending gradients (exact Q32.32 sums since format v3),
+ * ATP's MTA-time estimates, and every worker's pull-codec error
+ * residual (since v4) — is periodically serialized as a
  * write-ahead checkpoint ("ROGS" format: magic, version, payload size,
  * CRC32C, payload). Files are
  * written to `<path>.tmp` and atomically renamed into place so a
@@ -24,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "compress/codec.hpp"
 #include "core/server_shard.hpp"
 #include "net/session/session.hpp"
 
@@ -74,6 +76,14 @@ struct ServerCheckpoint
      * restarted server must not wait on it. Empty or workers-sized.
      */
     std::vector<std::uint8_t> worker_done;
+
+    /**
+     * Per-worker pull-codec error residuals (v4): the gradient mass
+     * the server->worker codec has quantized away but not yet
+     * delivered. Empty (no pull codecs) or workers-sized; each list
+     * ascends by block with no repeats, and every value is finite.
+     */
+    std::vector<std::vector<compress::BlockResidual>> pull_residual;
 };
 
 /** Serialize @p ckpt (with CRC32C trailer) to @p os. @throws on I/O

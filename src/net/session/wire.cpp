@@ -1,7 +1,5 @@
 #include "net/session/wire.hpp"
 
-#include <cstring>
-
 #include "common/logging.hpp"
 
 namespace rog {
@@ -47,14 +45,6 @@ class ByteWriter
     i64(std::int64_t v)
     {
         u64(static_cast<std::uint64_t>(v));
-    }
-
-    void
-    f32(float v)
-    {
-        std::uint32_t bits = 0;
-        std::memcpy(&bits, &v, sizeof bits);
-        u32(bits);
     }
 
     void
@@ -124,16 +114,6 @@ class ByteReader
         if (!u64(bits))
             return false;
         v = static_cast<std::int64_t>(bits);
-        return true;
-    }
-
-    bool
-    f32(float &v)
-    {
-        std::uint32_t bits = 0;
-        if (!u32(bits))
-            return false;
-        std::memcpy(&v, &bits, sizeof v);
         return true;
     }
 
@@ -366,9 +346,8 @@ encode(const PullData &m)
     w.u32(static_cast<std::uint32_t>(m.units.size()));
     for (const UnitUpdate &u : m.units) {
         w.u32(u.unit);
-        w.u32(static_cast<std::uint32_t>(u.values.size()));
-        for (float v : u.values)
-            w.f32(v);
+        w.u32(static_cast<std::uint32_t>(u.bytes.size()));
+        w.bytes(u.bytes);
     }
     return out;
 }
@@ -383,8 +362,9 @@ parse(std::span<const std::uint8_t> in, PullData &out)
           r.i64(out.min_done) && r.u32(units)))
         return false;
     // The counts are untrusted: a short message claiming ~2^32 units
-    // or floats must fail the parse, not drive a multi-GB allocation.
-    // Each unit occupies at least 8 header bytes, each value 4.
+    // or bytes must fail the parse, not drive a multi-GB allocation.
+    // Each unit occupies at least 8 header bytes; ByteReader::bytes
+    // checks a byte count against what is left before allocating.
     if (units > r.remaining() / 8)
         return false;
     out.units.clear();
@@ -392,14 +372,8 @@ parse(std::span<const std::uint8_t> in, PullData &out)
     for (std::uint32_t i = 0; i < units; ++i) {
         UnitUpdate u;
         std::uint32_t n = 0;
-        if (!(r.u32(u.unit) && r.u32(n)))
+        if (!(r.u32(u.unit) && r.u32(n) && r.bytes(n, u.bytes)))
             return false;
-        if (n > r.remaining() / 4)
-            return false;
-        u.values.resize(n);
-        for (std::uint32_t j = 0; j < n; ++j)
-            if (!r.f32(u.values[j]))
-                return false;
         out.units.push_back(std::move(u));
     }
     return r.done();
@@ -423,30 +397,6 @@ parse(std::span<const std::uint8_t> in, Bye &out)
     std::uint8_t tag = 0;
     return r.u8(tag) && tag == kTagBye && r.u16(out.worker) &&
            r.i64(out.done_iter) && r.done();
-}
-
-std::vector<std::uint8_t>
-encodeFloats(std::span<const float> values)
-{
-    std::vector<std::uint8_t> out;
-    out.reserve(values.size() * 4);
-    ByteWriter w(out);
-    for (float v : values)
-        w.f32(v);
-    return out;
-}
-
-bool
-parseFloats(std::span<const std::uint8_t> in, std::vector<float> &out)
-{
-    if (in.size() % 4 != 0)
-        return false;
-    ByteReader r(in);
-    out.resize(in.size() / 4);
-    for (float &v : out)
-        if (!r.f32(v))
-            return false;
-    return true;
 }
 
 } // namespace session

@@ -17,6 +17,14 @@
  * Payload encoding is explicit little-endian with no padding; every
  * parse is total (returns false on truncation) because the bytes come
  * off a network.
+ *
+ * Gradient bytes are the codec's (compress/codec.hpp, per row chunk
+ * as core/unit_wire.hpp lays them out): a push's whole payload is one
+ * unit's codec bytes, and PullData is
+ *   u8 tag | i64 iter | i64 min_done | u32 n_units |
+ *   n_units x (u32 unit | u32 n_bytes | n_bytes codec bytes).
+ * The wire layer checks only that the counts fit the message; the
+ * receiver checks each unit and byte length against its partition.
  */
 #ifndef ROG_NET_SESSION_WIRE_HPP
 #define ROG_NET_SESSION_WIRE_HPP
@@ -129,11 +137,11 @@ struct PullReq
     std::int64_t iter = 0;
 };
 
-/** One unit's averaged pending gradient. */
+/** One unit's averaged pending gradient, as the codec's payload. */
 struct UnitUpdate
 {
     std::uint32_t unit = 0;
-    std::vector<float> values;
+    std::vector<std::uint8_t> bytes;
 };
 
 /** Server -> worker: averaged gradients pending for the worker. */
@@ -166,11 +174,6 @@ bool parse(std::span<const std::uint8_t> in, Heartbeat &out);
 bool parse(std::span<const std::uint8_t> in, PullReq &out);
 bool parse(std::span<const std::uint8_t> in, PullData &out);
 bool parse(std::span<const std::uint8_t> in, Bye &out);
-
-/** Raw f32 little-endian array (gradient push payloads). */
-std::vector<std::uint8_t> encodeFloats(std::span<const float> values);
-bool parseFloats(std::span<const std::uint8_t> in,
-                 std::vector<float> &out);
 
 } // namespace session
 } // namespace net

@@ -80,6 +80,11 @@ sampleCheckpoint()
     c.sessions.admissions = 5;
     c.worker_done = {0, 1, 0};
     c.model = {0xAB, 0xCD, 0x00, 0x12, 0x34, 0x56};
+    // v4 pull-codec residuals: ragged blocks, one worker with none,
+    // and a negative zero that must survive bit for bit.
+    c.pull_residual.resize(kWorkers);
+    c.pull_residual[0] = {{0, {0.5f, -0.25f, -0.0f}}, {3, {1.5f}}};
+    c.pull_residual[2] = {{1, {-2.0f, 0.125f}}};
     return c;
 }
 
@@ -129,6 +134,20 @@ expectEqual(const ServerCheckpoint &a, const ServerCheckpoint &b)
     EXPECT_EQ(a.sessions.admissions, b.sessions.admissions);
     EXPECT_EQ(a.worker_done, b.worker_done);
     EXPECT_EQ(a.model, b.model);
+    ASSERT_EQ(a.pull_residual.size(), b.pull_residual.size());
+    for (std::size_t w = 0; w < a.pull_residual.size(); ++w) {
+        ASSERT_EQ(a.pull_residual[w].size(), b.pull_residual[w].size());
+        for (std::size_t k = 0; k < a.pull_residual[w].size(); ++k) {
+            const auto &x = a.pull_residual[w][k];
+            const auto &y = b.pull_residual[w][k];
+            EXPECT_EQ(x.block, y.block);
+            ASSERT_EQ(x.values.size(), y.values.size());
+            EXPECT_EQ(std::memcmp(x.values.data(), y.values.data(),
+                                  x.values.size() * sizeof(float)),
+                      0)
+                << "worker " << w << " block " << x.block;
+        }
+    }
 }
 
 // Header is magic(4) + version(4) + size(8) + crc(4).
@@ -444,6 +463,70 @@ TEST(ServerCheckpoint, RejectsPendingValueAtTheLimit)
         c.server.pending[0][0][2] = ok;
         expectEqual(c, decode(encode(c)));
     }
+}
+
+/** Payload offset of the v4 pull-residual count: right after the
+ *  pending section, the last-update row and the MTA tracker. */
+std::size_t
+residualCountOffset(const ServerCheckpoint &c)
+{
+    const auto [begin, len] = pendingSection(c);
+    const std::size_t workers = c.versions.versions.size();
+    const std::size_t units = c.versions.versions[0].size();
+    return begin + len + units * 8 + workers * (8 + 1 + 8);
+}
+
+TEST(ServerCheckpoint, RoundTripsWithoutPullResidual)
+{
+    // Engines without pull codecs (the coroutine engine's own
+    // checkpoints) write an empty section.
+    auto c = sampleCheckpoint();
+    c.pull_residual.clear();
+    const ServerCheckpoint got = decode(encode(c));
+    EXPECT_TRUE(got.pull_residual.empty());
+    expectEqual(c, got);
+}
+
+TEST(ServerCheckpoint, RejectsNonFinitePullResidual)
+{
+    for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity()}) {
+        auto c = sampleCheckpoint();
+        c.pull_residual[2][0].values[1] = bad;
+        EXPECT_THROW(decode(encode(c)), std::runtime_error) << bad;
+    }
+}
+
+TEST(ServerCheckpoint, RejectsUnorderedPullResidualBlocks)
+{
+    auto c = sampleCheckpoint();
+    std::swap(c.pull_residual[0][0], c.pull_residual[0][1]);
+    EXPECT_THROW(decode(encode(c)), std::runtime_error);
+    c = sampleCheckpoint();
+    c.pull_residual[0][1].block = c.pull_residual[0][0].block;
+    EXPECT_THROW(decode(encode(c)), std::runtime_error);
+}
+
+TEST(ServerCheckpoint, RejectsPullResidualCountMismatch)
+{
+    const auto c = sampleCheckpoint();
+    const std::string bytes = encode(c);
+    const std::size_t off = residualCountOffset(c);
+    std::uint32_t count = 0;
+    std::memcpy(&count, bytes.data() + kHeaderSize + off, 4);
+    ASSERT_EQ(count, 3u); // the offset arithmetic found the field.
+    for (const std::uint32_t bad : {2u, 4u, 0xFFFFFFFFu})
+        EXPECT_THROW(decode(patchPayload(bytes, off, &bad, 4)),
+                     std::runtime_error)
+            << bad;
+    // A huge block count or width in a short payload must fail the
+    // parse, not drive an allocation.
+    const std::uint32_t huge = 0x7FFFFFFFu;
+    EXPECT_THROW(decode(patchPayload(bytes, off + 4, &huge, 4)),
+                 std::runtime_error);
+    EXPECT_THROW(decode(patchPayload(bytes, off + 12, &huge, 4)),
+                 std::runtime_error);
 }
 
 TEST(ServerCheckpoint, RejectsPreFixedPointVersion)

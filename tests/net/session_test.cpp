@@ -18,6 +18,7 @@
 #include "core/node_engine.hpp"
 #include "core/node_runner.hpp"
 #include "core/server_checkpoint.hpp"
+#include "core/unit_wire.hpp"
 #include "net/session/des_fabric.hpp"
 #include "net/session/session.hpp"
 #include "net/session/wire.hpp"
@@ -98,11 +99,11 @@ TEST(SessionWire, PullDataWithHugeCountsFailsParse)
     in.iter = 1;
     UnitUpdate u;
     u.unit = 0;
-    u.values = {1.0f, 2.0f};
+    u.bytes = {1, 2, 3, 4, 5, 6, 7, 8};
     in.units.push_back(u);
     const std::vector<std::uint8_t> bytes = encode(in);
     // Layout: tag(1) + iter(8) + min_done(8), unit count at 17,
-    // first unit id at 21, its value count at 25.
+    // first unit id at 21, its byte count at 25.
     ASSERT_EQ(bytes.size(), 37u);
     PullData out;
 
@@ -113,7 +114,7 @@ TEST(SessionWire, PullDataWithHugeCountsFailsParse)
         huge_units[i] = 0xFF;
     EXPECT_FALSE(parse(huge_units, out));
 
-    // Same for a unit claiming ~2^32 float values.
+    // Same for a unit claiming ~2^32 payload bytes.
     std::vector<std::uint8_t> huge_values = bytes;
     for (std::size_t i = 25; i < 29; ++i)
         huge_values[i] = 0xFF;
@@ -536,17 +537,23 @@ TEST(SessionDes, NanPushIsRejectedAndModelStaysFinite)
         sim.runUntil(t);
     ASSERT_NE(session, 0u) << slog;
 
-    const std::size_t width =
-        core::RowPartition(core::FlatModel(server.model()),
-                           train.granularity)
-            .unit(0)
-            .width;
+    const core::FlatModel flat(server.model());
+    const core::Unit unit0 =
+        core::RowPartition(flat, train.granularity).unit(0);
+    const std::size_t width = unit0.width;
     std::vector<float> grad(width, 0.25f);
     grad[width / 2] = std::numeric_limits<float>::quiet_NaN();
+    // The push is what a worker's codec makes of the gradient (a NaN
+    // element poisons the one-bit scale), from a fresh codec each time
+    // so the NaN residual of the first push does not carry over.
     const auto push = [&](std::int64_t iter) {
+        auto codec = compress::makeCodec(train.codec);
+        std::vector<float> out(width);
+        std::vector<std::uint8_t> wire;
+        core::encodeUnit(*codec, flat, unit0, grad, out, wire);
         fab.sendTo(kServerNode,
                    MessageKey{0, packVersion(session, iter), 0, false},
-                   encodeFloats(grad), transport::kNoDeadline, {});
+                   wire, transport::kNoDeadline, {});
         sim.runUntil(sim.now() + 2.0);
     };
     push(1);

@@ -28,7 +28,8 @@
  * CRC-valid checkpoint, finite model within tolerance of the twin,
  * no exactly-once violation at either the application or transport
  * level, every killed worker evicted-or-readmitted, every worker
- * finished. Exit 0 iff no invariant was violated.
+ * finished, and every push's payload bytes equal to the DES's
+ * accounting for its unit. Exit 0 iff no invariant was violated.
  *
  * The children are forked, not exec'd: the supervisor creates no
  * threads before the last fork, so the children get clean copies and
